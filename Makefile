@@ -2,7 +2,7 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: lint lint-fix test test-fast bench-smoke bench-engine bench-dp \
-	bench-solvecache bench-sweep service-smoke verify
+	bench-solvecache bench-sweep perfbench-check service-smoke verify
 
 # Static analysis.  reprolint (stdlib-only, part of this package) always
 # runs the full R1-R15 rule set — per-file, whole-program and
@@ -69,6 +69,14 @@ bench-solvecache:
 # (full scale: python benchmarks/bench_sweep.py).
 bench-sweep:
 	$(PYTHON) benchmarks/bench_sweep.py --smoke
+
+# End-to-end golden gate: one table4_cold pass of perfbench (~30 s),
+# every (policy, trace) checked against perfbench/goldens/.  run.py
+# exits 0 even on a golden mismatch, so its last stdout line (the JSON
+# result) is checked here; no output at all fails too.
+perfbench-check:
+	$(PYTHON) perfbench/run.py --workload table4_cold --seconds 1 --trace 0 \
+		| $(PYTHON) -c 'import json, sys; lines = sys.stdin.read().splitlines(); print(*lines, sep="\n"); doc = json.loads(lines[-1]) if lines else {}; sys.exit(0 if doc.get("correct") is True and doc.get("failed") == 0 else "perfbench-check: goldens not matched")'
 
 # Scenario-service acceptance check: boots a real daemon on an
 # ephemeral port, drives it through the CLI, asserts daemon results are

@@ -38,17 +38,34 @@ Durability discipline (the same R10 contract the result store obeys):
 
 The tier is bounded by a byte budget (LRU by file *mtime*, which
 ``load()`` bumps explicitly on every hit so recency survives
-``noatime``-mounted filesystems; default 256 MiB) and observable: per-process hit/miss/store/evict counters feed
+``noatime``-mounted filesystems; default 256 MiB).  A store does not
+walk the tier: each process keeps an index of it (``path -> (mtime,
+size)``, the running byte total and an mtime min-heap), built by one
+scan at its first store and rebuilt once it has stored ``max_bytes //
+8`` bytes since the last scan, which is how it picks up other
+processes' writes.  Eviction pops the heap while the total exceeds
+``max_bytes`` and re-stats each candidate first, so an entry any
+process has loaded since the scan goes back on the heap with its real
+mtime, and one another process removed is dropped from the index.
+Within one process that is exact mtime LRU down to ``max_bytes``; with
+P concurrent writers the tier can exceed ``max_bytes`` by at most
+(P-1) * ``max_bytes // 8`` between scans.
+
+The tier is observable: per-process hit/miss/store/evict counters feed
 ``ScenarioResult.disk_hits`` / ``disk_misses`` / ``disk_evictions``,
 and advisory lifetime counters are persisted next to the entries for
-``repro store``.  ``--no-disk-cache`` / ``REPRO_BENCH_NO_DISKCACHE``
-bypass the tier entirely (the slow path is simply the cold solve).
+``repro store`` — at the end of every work unit, by ``usage()`` and
+``lifetime()``, and at interpreter exit for a process that stored.
+``--no-disk-cache`` / ``REPRO_BENCH_NO_DISKCACHE`` bypass the tier
+entirely (the slow path is simply the cold solve).
 """
 
 from __future__ import annotations
 
+import atexit
 import contextlib
 import hashlib
+import heapq
 import io
 import json
 import os
@@ -85,6 +102,12 @@ _ENTRY_FORMAT = 1
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 
 _COUNTERS_NAME = "counters.json"
+_COUNTER_FIELDS = ("hits", "misses", "stores", "evictions")
+
+#: A process rescans the tier once it has stored ``max_bytes //
+#: _RESCAN_DIVISOR`` bytes since its last scan; between scans it cannot
+#: see other processes' writes, so this bounds their overshoot.
+_RESCAN_DIVISOR = 8
 
 
 # ----------------------------------------------------------------------
@@ -157,6 +180,97 @@ class DiskCacheStats:
         return self.hits / self.lookups if self.lookups else 0.0
 
 
+def _entry_files(root: Path):
+    """Every entry file under ``root``, skipping the ``.tmp-*`` files of
+    writes still in flight."""
+    for path in root.rglob("*.npz"):
+        if not path.name.startswith(".tmp-"):
+            yield path
+
+
+class _TierIndex:
+    """One process's view of a tier root: ``path -> (mtime_ns, size)``,
+    the running byte total and an mtime min-heap (which may hold
+    superseded records; a record counts only while it matches the
+    index).  Not thread-safe: its owner serialises every call."""
+
+    def __init__(self, root: Path):
+        self.root = root
+        self.entries: dict[str, tuple[int, int]] = {}
+        self.heap: list[tuple[int, str]] = []
+        self.total = 0
+        self.since_scan = 0
+        self.scan()
+
+    def scan(self) -> None:
+        """Rebuild the index from one walk of the tier."""
+        entries: dict[str, tuple[int, int]] = {}
+        with contextlib.suppress(OSError):
+            for path in _entry_files(self.root):
+                try:
+                    stat = path.stat()
+                except OSError:
+                    continue
+                entries[str(path)] = (stat.st_mtime_ns, stat.st_size)
+        self.entries = entries
+        self.heap = [(mtime, path) for path, (mtime, _) in entries.items()]
+        heapq.heapify(self.heap)
+        self.total = sum(size for _, size in entries.values())
+        self.since_scan = 0
+
+    def add(self, path: str, stat: os.stat_result, rescan_bytes: int) -> None:
+        """Account a stored entry, or rescan once ``rescan_bytes`` have
+        been stored since the last scan (the scan sees the entry)."""
+        self.since_scan += stat.st_size
+        if self.since_scan >= rescan_bytes:
+            self.scan()
+        else:
+            self._put(path, stat.st_mtime_ns, stat.st_size)
+
+    def evict(self, max_bytes: int) -> int:
+        """Unlink least-recently-used entries until the indexed total
+        is within ``max_bytes``; returns the number unlinked.
+
+        Recency is ``st_mtime``, which ``load()`` bumps explicitly;
+        ``st_atime`` is frozen on ``noatime``/``relatime`` mounts.  Each
+        candidate is re-stat-ed first: one whose mtime moved (a
+        ``load()`` in any process bumped it) goes back on the heap with
+        its real mtime, and one that vanished is forgotten uncounted.
+        """
+        evicted = 0
+        while self.total > max_bytes and self.heap:
+            mtime, path = heapq.heappop(self.heap)
+            known = self.entries.get(path)
+            if known is None or known[0] != mtime:
+                continue  # superseded record
+            try:
+                stat = os.stat(path)
+            except OSError:
+                self._drop(path)
+                continue
+            if stat.st_mtime_ns != mtime:
+                self._put(path, stat.st_mtime_ns, stat.st_size)
+                continue
+            try:
+                os.unlink(path)
+                evicted += 1
+            except OSError:
+                pass  # removed meanwhile, or not removable: forget it
+            self._drop(path)
+        return evicted
+
+    def _put(self, path: str, mtime: int, size: int) -> None:
+        self._drop(path)
+        self.entries[path] = (mtime, size)
+        self.total += size
+        heapq.heappush(self.heap, (mtime, path))
+
+    def _drop(self, path: str) -> None:
+        known = self.entries.pop(path, None)
+        if known is not None:
+            self.total -= known[1]
+
+
 class DiskSolveCache:
     """Disk-backed, content-addressed solve store (the L2 tier).
 
@@ -166,6 +280,10 @@ class DiskSolveCache:
     cross-process writers of the same key are idempotent (atomic
     replace of identical content).  ``enabled=False`` turns every
     operation into a no-op so the cold path is always reachable.
+
+    ``_lock`` guards the counters; ``_index_lock`` guards the tier index
+    and is held across eviction's file operations, so a hit never waits
+    on an eviction.  ``max_bytes`` is read without either lock.
     """
 
     def __init__(
@@ -184,10 +302,11 @@ class DiskSolveCache:
         self.misses = 0
         self.stores = 0
         self.evictions = 0
-        self._flushed: dict[str, int] = {
-            "hits": 0, "misses": 0, "stores": 0, "evictions": 0
-        }
+        self._flushed = dict.fromkeys(_COUNTER_FIELDS, 0)
         self._pruned = False
+        self._flush_at_exit = False
+        self._index_lock = threading.Lock()
+        self._index: _TierIndex | None = None
 
     # -- paths ---------------------------------------------------------
 
@@ -287,15 +406,41 @@ class DiskSolveCache:
                     **arrays,
                 )
             os.replace(tmp, path)
+            stat = path.stat()
         except (OSError, ValueError):
             with contextlib.suppress(OSError):
                 tmp.unlink()
             return False
+        evicted = self._account(path, stat)
         with self._lock:
             self.stores += 1
-        self._evict_over_budget()
-        self._flush_counters()
+            self.evictions += evicted
+            register = not self._flush_at_exit
+            self._flush_at_exit = True
+        if register:
+            atexit.register(self._flush_if_present)
         return True
+
+    def _account(self, path: Path, stat: os.stat_result) -> int:
+        """Add a stored entry to the tier index (built on first use or
+        for a new root, rebuilt after ``max_bytes // _RESCAN_DIVISOR``
+        stored bytes), then evict down to ``max_bytes``.  Returns the
+        number of entries evicted."""
+        max_bytes = self.max_bytes
+        rescan_bytes = max(1, max_bytes // _RESCAN_DIVISOR)
+        root = path.parents[2]
+        with self._index_lock:
+            index = self._index
+            if index is None or index.root != root:
+                self._index = index = _TierIndex(root)
+            else:
+                index.add(str(path), stat, rescan_bytes)
+            return index.evict(max_bytes)
+
+    def _drop_index(self) -> None:
+        """Forget the tier index; the next store rescans."""
+        with self._index_lock:
+            self._index = None
 
     def _prune_stale_versions(self) -> None:
         """Remove entry directories of retired code versions (once per
@@ -314,36 +459,6 @@ class DiskSolveCache:
             if path.is_dir() and path.name != current:
                 shutil.rmtree(path, ignore_errors=True)
 
-    def _evict_over_budget(self) -> None:
-        """Drop least-recently-used entries until under ``max_bytes``.
-
-        Recency is ``st_mtime``, not ``st_atime``: ``load()`` bumps
-        mtime explicitly on every hit, whereas atime is frozen (or
-        update-limited) on ``noatime``/``relatime`` filesystems and
-        would make eviction order effectively write-time FIFO there."""
-        try:
-            entries = [
-                (stat.st_mtime, stat.st_size, path)
-                for path in self.root.rglob("*.npz")
-                if (stat := path.stat())
-            ]
-        except OSError:
-            return
-        total = sum(size for _, size, _ in entries)
-        if total <= self.max_bytes:
-            return
-        evicted = 0
-        for _, size, path in sorted(entries):
-            if total <= self.max_bytes:
-                break
-            with contextlib.suppress(OSError):
-                path.unlink()
-                total -= size
-                evicted += 1
-        if evicted:
-            with self._lock:
-                self.evictions += evicted
-
     # -- observability -------------------------------------------------
 
     def stats(self) -> DiskCacheStats:
@@ -357,21 +472,14 @@ class DiskSolveCache:
         """Zero the per-process counters (benchmark arm boundaries)."""
         with self._lock:
             self.hits = self.misses = self.stores = self.evictions = 0
-            self._flushed = {
-                "hits": 0, "misses": 0, "stores": 0, "evictions": 0
-            }
+            self._flushed = dict.fromkeys(_COUNTER_FIELDS, 0)
 
     def flush_counters(self) -> None:
-        """Persist this process's counter deltas into the advisory
-        lifetime counters.  ``store()`` flushes on its own, but a
-        hit-only process (the common warm case) would otherwise never
-        write its hits; work units call this at exit.  No-op when
-        there is nothing new to fold in."""
-        self._flush_counters()
-
-    def _flush_counters(self) -> None:
         """Fold this process's counter deltas into the advisory
-        lifetime counters persisted next to the entries.
+        lifetime counters persisted next to the entries.  Work units
+        call this at exit, ``usage()``/``lifetime()`` before reading,
+        and a process that stored calls it at interpreter exit.  No-op
+        when there is nothing new to fold in.
 
         Best-effort read-modify-replace: concurrent processes may lose
         each other's increments (under-count, never over-count), the
@@ -406,17 +514,37 @@ class DiskSolveCache:
             with contextlib.suppress(OSError):
                 tmp.unlink()
 
+    def _flush_if_present(self) -> None:
+        """Exit-time flush that never recreates a tier that was wiped or
+        removed (a test or benchmark directory, say) just for counters."""
+        if self.root.is_dir():
+            self.flush_counters()
+
+    def lifetime(self) -> dict[str, float]:
+        """The persisted lifetime counters (this process's deltas flushed
+        first) and their hit rate; reads only the counter file."""
+        self.flush_counters()
+        try:
+            doc = json.loads((self.root / _COUNTERS_NAME).read_text())
+        except (OSError, ValueError):
+            doc = {}
+        counters = {name: int(doc.get(name, 0)) for name in _COUNTER_FIELDS}
+        lookups = counters["hits"] + counters["misses"]
+        return {
+            **counters,
+            "hit_rate": counters["hits"] / lookups if lookups else 0.0,
+        }
+
     def usage(self) -> dict[str, Any]:
         """On-disk shape of the tier: entries and bytes, per kind and
         total, plus the persisted lifetime counters."""
         from repro.service.store import store_version
 
-        self._flush_counters()
         kinds: dict[str, dict[str, int]] = {}
         total_entries = 0
         total_bytes = 0
         if self.root.is_dir():
-            for path in self.root.rglob("*.npz"):
+            for path in _entry_files(self.root):
                 try:
                     size = path.stat().st_size
                 except OSError:
@@ -427,15 +555,6 @@ class DiskSolveCache:
                 bucket["bytes"] += size
                 total_entries += 1
                 total_bytes += size
-        try:
-            counters = json.loads((self.root / _COUNTERS_NAME).read_text())
-        except (OSError, ValueError):
-            counters = {}
-        lifetime = {
-            name: int(counters.get(name, 0))
-            for name in ("hits", "misses", "stores", "evictions")
-        }
-        lookups = lifetime["hits"] + lifetime["misses"]
         return {
             "root": str(self.root),
             "store_version": store_version(),
@@ -444,16 +563,14 @@ class DiskSolveCache:
             "bytes": total_bytes,
             "max_bytes": self.max_bytes,
             "kinds": kinds,
-            "lifetime": {
-                **lifetime,
-                "hit_rate": lifetime["hits"] / lookups if lookups else 0.0,
-            },
+            "lifetime": self.lifetime(),
         }
 
     # -- maintenance ---------------------------------------------------
 
     def wipe(self) -> int:
         """Delete every entry (all versions); returns entries removed."""
+        self._drop_index()
         removed = 0
         root = self.tier_root
         if not root.is_dir():
@@ -489,6 +606,7 @@ def configure_disk_cache(
     if root is not None:
         _DISK._base = Path(root)
         _DISK._pruned = False
+        _DISK._drop_index()
     if max_bytes is not None:
         if max_bytes < 1:
             raise ValueError("max_bytes must be >= 1")

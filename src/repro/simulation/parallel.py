@@ -256,8 +256,7 @@ def _disk_discount(use_disk_cache: bool) -> float:
     if not use_disk_cache:
         return 1.0
     try:
-        lifetime = get_disk_cache().usage()["lifetime"]
-        rate = float(lifetime.get("hit_rate", 0.0))
+        rate = float(get_disk_cache().lifetime()["hit_rate"])
     except Exception:
         return 1.0
     return max(0.1, 1.0 - 0.9 * min(max(rate, 0.0), 1.0))

@@ -25,6 +25,11 @@ def _service_dir_backstop(tmp_path_factory):
     prior = os.environ.get("REPRO_SERVICE_DIR")
     os.environ["REPRO_SERVICE_DIR"] = str(path)
     yield
+    # the solve tier flushes pending counters at interpreter exit; do it
+    # now, while they still land in this session's directory
+    from repro.core.diskcache import get_disk_cache
+
+    get_disk_cache().flush_counters()
     if prior is None:
         os.environ.pop("REPRO_SERVICE_DIR", None)
     else:

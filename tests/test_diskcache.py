@@ -3,14 +3,21 @@ concurrency, version rollover, eviction and the disabled slow path."""
 
 from __future__ import annotations
 
+import json
 import multiprocessing
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from repro.core import diskcache
 from repro.core.cache import cached_dp_makespan, cached_replan, clear_cache
 from repro.core.diskcache import (
     DiskSolveCache,
+    configure_disk_cache,
+    get_disk_cache,
     key_digest,
     load_dp_makespan,
 )
@@ -215,6 +222,13 @@ class TestEviction:
         assert usage["kinds"]["replan"]["entries"] == 1
         assert usage["lifetime"]["stores"] == 2
 
+    def test_usage_skips_writes_in_flight(self, cache):
+        cache.store("dp", ("a",), _arrays(1))
+        path = cache._entry_path("dp", key_digest("dp", ("a",)))
+        (path.parent / f".tmp-1-{path.name}").write_bytes(b"half written")
+        assert cache.usage()["entries"] == 1
+        assert cache.usage()["bytes"] == path.stat().st_size
+
     def test_lifetime_counters_persist_across_instances(self, tmp_path):
         a = DiskSolveCache(root=tmp_path)
         a.store("dp", KEY, _arrays())
@@ -224,6 +238,204 @@ class TestEviction:
         lifetime = b.usage()["lifetime"]
         assert lifetime["stores"] == 1
         assert lifetime["hits"] == 1
+
+
+def _tier_entries(cache) -> dict:
+    """Brute-force walk: ``path -> (mtime_ns, size)`` of every entry."""
+    out = {}
+    for path in cache.root.rglob("*.npz"):
+        stat = path.stat()
+        out[path] = (stat.st_mtime_ns, stat.st_size)
+    return out
+
+
+def _entry_size(tmp_path) -> int:
+    """Size of one ``_arrays`` entry (all of them are the same size)."""
+    probe = DiskSolveCache(root=tmp_path / "probe")
+    probe.store("dp", ("probe",), _arrays())
+    return probe._entry_path("dp", key_digest("dp", ("probe",))).stat().st_size
+
+
+@pytest.fixture
+def count_scans(monkeypatch):
+    """Record every full walk of the tier made by the store index."""
+    calls = []
+    scan = diskcache._TierIndex.scan
+
+    def counting(index):
+        calls.append(index.root)
+        return scan(index)
+
+    monkeypatch.setattr(diskcache._TierIndex, "scan", counting)
+    return calls
+
+
+class TestTierIndex:
+    """The in-process index that replaced the per-store tier walk."""
+
+    def test_budget_holds_after_every_store(self, tmp_path):
+        size = _entry_size(tmp_path)
+        fit = 40
+        cache = DiskSolveCache(root=tmp_path / "tier", max_bytes=fit * size)
+        stored = {}  # path -> mtime_ns right after its store
+        for i in range(300):
+            key = ("entry", i)
+            assert cache.store("dp", key, _arrays(i))
+            path = cache._entry_path("dp", key_digest("dp", key))
+            stored[path] = path.stat().st_mtime_ns
+            entries = _tier_entries(cache)
+            assert sum(sz for _, sz in entries.values()) <= cache.max_bytes
+            assert len(entries) == min(i + 1, fit)
+            evicted = [m for p, m in stored.items() if p not in entries]
+            if evicted:
+                assert min(m for m, _ in entries.values()) >= max(evicted)
+        assert cache.stats().evictions == 300 - fit
+
+    def test_rescans_bounded_by_stored_bytes(self, tmp_path, count_scans):
+        size = _entry_size(tmp_path)
+        count_scans.clear()
+        cache = DiskSolveCache(root=tmp_path / "tier", max_bytes=1000 * size)
+        stored = 0
+        for i in range(200):
+            assert cache.store("dp", ("entry", i), _arrays(i))
+            stored += size
+        assert 1 < len(count_scans) <= 1 + stored // (cache.max_bytes // 8)
+        assert cache.stats().evictions == 0
+
+    def test_load_by_another_instance_keeps_entry(self, tmp_path):
+        size = _entry_size(tmp_path)
+        root = tmp_path / "tier"
+        writer = DiskSolveCache(root=root)
+        old = [("old", i) for i in range(15)]
+        for i, key in enumerate(old):
+            writer.store("dp", key, _arrays(i))
+            path = writer._entry_path("dp", key_digest("dp", key))
+            os.utime(path, ns=(10**18 + i, 10**18 + i))
+        # a's first store scans the 15 old entries: 16 fill its budget
+        a = DiskSolveCache(root=root, max_bytes=16 * size)
+        a.store("dp", ("new", 0), _arrays(100))
+        assert a.stats().evictions == 0
+        b = DiskSolveCache(root=root)
+        assert b.load("dp", old[0]) is not None  # bumps its mtime
+        a.store("dp", ("new", 1), _arrays(101))
+        assert a.stats().evictions == 1
+        assert a._entry_path("dp", key_digest("dp", old[0])).exists()
+        assert not a._entry_path("dp", key_digest("dp", old[1])).exists()
+
+    def test_two_writers_stay_within_slack(self, tmp_path):
+        size = _entry_size(tmp_path)
+        root = tmp_path / "tier"
+        a = DiskSolveCache(root=root, max_bytes=16 * size)
+        b = DiskSolveCache(root=root, max_bytes=16 * size)
+        bound = a.max_bytes + a.max_bytes // 8
+        rng = np.random.default_rng(7)
+        for i in range(240):
+            writer = a if rng.random() < 0.5 else b
+            writer.store("dp", ("entry", i), _arrays(i))
+            total = sum(sz for _, sz in _tier_entries(a).values())
+            assert total <= bound
+
+    def test_threads_share_one_index(self, tmp_path):
+        """Threads storing at once into one cache (more threads than
+        cores, short switch interval): no store lost, tier in budget."""
+        import threading
+
+        size = _entry_size(tmp_path)
+        cache = DiskSolveCache(root=tmp_path / "tier", max_bytes=12 * size)
+        n_threads, per_thread = 8, 40
+
+        def work(t):
+            for i in range(per_thread):
+                assert cache.store("dp", (t, i), _arrays(t * 100 + i))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(t,))
+                for t in range(n_threads)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        stats = cache.stats()
+        assert stats.stores == n_threads * per_thread
+        entries = _tier_entries(cache)
+        assert sum(sz for _, sz in entries.values()) <= cache.max_bytes
+        assert stats.evictions == n_threads * per_thread - len(entries)
+        # the index agrees with the disk and with its own running total
+        index = cache._index
+        assert set(map(str, entries)) <= set(index.entries)
+        assert index.total == sum(sz for _, sz in index.entries.values())
+
+    def test_counters_flushed_at_exit(self, tmp_path):
+        """A process that only stores, outside any work unit, still
+        leaves its lifetime counters behind."""
+        import repro
+
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from repro.core.diskcache import DiskSolveCache\n"
+            "cache = DiskSolveCache(root=sys.argv[1])\n"
+            "for i in range(5):\n"
+            "    cache.store('dp', ('exit', i), {'x': np.arange(3.0)})\n"
+        )
+        env = dict(os.environ)
+        src = str(os.path.dirname(os.path.dirname(repro.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path)],
+            check=True, env=env, timeout=120,
+        )
+        counters = DiskSolveCache(root=tmp_path).root / "counters.json"
+        assert json.loads(counters.read_text())["stores"] == 5
+
+    def test_index_resets_on_wipe(self, cache, count_scans):
+        cache.store("dp", ("a",), _arrays(1))
+        assert cache._index is not None
+        cache.wipe()
+        assert cache._index is None
+        cache.store("dp", ("b",), _arrays(2))
+        assert len(count_scans) == 2
+
+    def test_index_resets_on_configure_root(self, tmp_path, monkeypatch):
+        disk = get_disk_cache()
+        monkeypatch.setattr(disk, "_base", disk._base)
+        disk.store("dp", ("a",), _arrays(1))
+        assert disk._index is not None
+        configure_disk_cache(root=tmp_path / "elsewhere")
+        assert disk._index is None
+        disk.store("dp", ("b",), _arrays(2))
+        assert disk._index.root == disk.root
+        assert disk._index.root.is_relative_to(tmp_path / "elsewhere")
+
+    def test_index_follows_store_version(self, cache, monkeypatch):
+        from repro.service import store
+
+        cache.store("dp", ("a",), _arrays(1))
+        before = cache._index.root
+        monkeypatch.setitem(store._version_memo, "version", "0" * 16)
+        cache.store("dp", ("b",), _arrays(2))
+        assert cache._index.root != before
+        assert set(cache._index.entries) == set(map(str, _tier_entries(cache)))
+
+    def test_lifetime_reads_counters_only(self, cache):
+        cache.store("dp", KEY, _arrays())
+        cache.load("dp", KEY)
+        cache.load("dp", ("absent",))
+        lifetime = cache.lifetime()
+        assert (lifetime["hits"], lifetime["misses"], lifetime["stores"]) == (
+            1, 1, 1,
+        )
+        assert lifetime["hit_rate"] == pytest.approx(0.5)
+        assert cache.usage()["lifetime"] == lifetime
 
 
 class TestSolverCodecs:
