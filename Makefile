@@ -32,11 +32,11 @@ lint-fix:
 
 # Full tier-1 suite.
 test:
-	$(PYTHON) -m pytest -x -q
+	$(PYTHON) -m pytest -x
 
 # Fast lane: skips the @pytest.mark.slow DP/integration tests (~3x faster).
 test-fast:
-	$(PYTHON) -m pytest -x -q -m "not slow"
+	$(PYTHON) -m pytest -x -m "not slow"
 
 # Tiny end-to-end benchmark: Figure 2 experiment at smoke scale with the
 # parallel runner engaged.  Exercises trace generation, every policy

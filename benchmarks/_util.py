@@ -7,13 +7,10 @@ prints the paper-style table/series and archives it under
 
 The experiment scale is selected with the ``REPRO_BENCH_SCALE``
 environment variable: ``smoke`` | ``small`` (default) | ``medium`` |
-``paper``.  Execution knobs: ``REPRO_BENCH_JOBS`` fans scenario work
-out over N worker processes (0 = one per CPU; results are bit-identical
-to serial), ``REPRO_BENCH_NO_CACHE=1`` bypasses the shared DP table
-cache, ``REPRO_BENCH_NO_MEMO=1`` the cross-trace replan memo,
-``REPRO_BENCH_NO_SHM=1`` the shared-memory trace publication and
-``REPRO_BENCH_NO_DISKCACHE=1`` the persistent disk solve tier — see
-``docs/performance.md``.
+``paper``.  Execution: ``REPRO_BENCH_JOBS`` fans scenario work out over
+N worker processes (0 = one per CPU; results are bit-identical to
+serial) and ``REPRO_BENCH_NO_DISKCACHE=1`` disables the persistent disk
+solve tier — see ``docs/performance.md``.
 
 Archived JSON reports (``write_bench_json``) carry a ``host`` block
 (:func:`host_metadata`) so numbers from different machines are never
@@ -29,6 +26,7 @@ import pathlib
 import platform as _platform
 import socket
 
+from repro.core.diskcache import configure_disk_cache
 from repro.experiments import MEDIUM, PAPER, SMALL, SMOKE, ExperimentScale
 from repro.simulation.parallel import set_default_execution
 
@@ -38,24 +36,14 @@ _SCALES = {"smoke": SMOKE, "small": SMALL, "medium": MEDIUM, "paper": PAPER}
 
 
 def apply_execution_env() -> None:
-    """Install ``REPRO_BENCH_JOBS`` / ``REPRO_BENCH_NO_CACHE`` /
-    ``REPRO_BENCH_NO_BATCH`` / ``REPRO_BENCH_NO_MEMO`` /
-    ``REPRO_BENCH_NO_SHM`` / ``REPRO_BENCH_NO_DISKCACHE`` as the
-    process-wide execution default so every driver the benchmark calls
-    inherits them."""
+    """Install ``REPRO_BENCH_JOBS`` as the process-wide worker count and
+    ``REPRO_BENCH_NO_DISKCACHE`` as the disk-tier switch, so every
+    driver the benchmark calls inherits them."""
     jobs = os.environ.get("REPRO_BENCH_JOBS")
     if jobs:
         set_default_execution(jobs=int(jobs))
-    if os.environ.get("REPRO_BENCH_NO_CACHE"):
-        set_default_execution(use_cache=False)
-    if os.environ.get("REPRO_BENCH_NO_BATCH"):
-        set_default_execution(use_batch=False)
-    if os.environ.get("REPRO_BENCH_NO_MEMO"):
-        set_default_execution(use_memo=False)
-    if os.environ.get("REPRO_BENCH_NO_SHM"):
-        set_default_execution(use_shm=False)
     if os.environ.get("REPRO_BENCH_NO_DISKCACHE"):
-        set_default_execution(use_disk_cache=False)
+        configure_disk_cache(enabled=False)
 
 
 def host_metadata() -> dict:
@@ -94,8 +82,8 @@ def bench_scale(**overrides) -> ExperimentScale:
     - ``REPRO_BENCH_TRACES``: cap ``n_traces``;
     - ``REPRO_BENCH_PETA`` / ``REPRO_BENCH_EXA``: platform sizes;
     - ``REPRO_BENCH_PPOINTS``: points on degradation-vs-p axes;
-    - ``REPRO_BENCH_JOBS`` / ``REPRO_BENCH_NO_CACHE``: execution mode
-      (worker processes / DP-cache bypass), applied as a side effect.
+    - ``REPRO_BENCH_JOBS`` / ``REPRO_BENCH_NO_DISKCACHE``: execution
+      (worker processes / disk-tier switch), applied as a side effect.
     """
     apply_execution_env()
     name = os.environ.get("REPRO_BENCH_SCALE", "small").lower()

@@ -3,9 +3,11 @@
 Three arms run the *same* Weibull scenario with the same seed and
 compare per-trace makespans bit-for-bit:
 
-1. **baseline** — scalar survival kernels, replan memo off, serial
-   (``DPNextFailurePolicy(vectorized=False, use_memo=False)``): the
-   pre-pipeline reference path.  The DP *table* cache stays on in every
+1. **baseline** — scalar survival kernels, replan memo bypassed, serial
+   (``DPNextFailurePolicy(vectorized=False)`` with the policy's
+   ``cached_replan`` patched to call its solver directly, as the
+   test-suite oracle does): the pre-pipeline reference path.  The DP
+   *table* cache stays on in every
    arm (it predates this pipeline), so the measured speedup isolates
    the vectorized kernels + replan memo + shared-memory layers.
 2. **fast** — vectorized kernels + cross-trace replan memo, serial.
@@ -31,13 +33,16 @@ import os
 import pathlib
 import sys
 import time
+from unittest import mock
 
 import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from repro.cluster.models import ConstantOverhead, Platform  # noqa: E402
+import repro.policies.dp as dp_policies  # noqa: E402
 from repro.core.cache import clear_cache, clear_replan_memo  # noqa: E402
+from repro.core.diskcache import configure_disk_cache  # noqa: E402
 from repro.distributions.weibull import Weibull  # noqa: E402
 from repro.policies.dp import DPNextFailurePolicy  # noqa: E402
 from repro.simulation.runner import run_scenarios  # noqa: E402
@@ -50,8 +55,7 @@ HOUR = 3600.0
 DAY = 24 * HOUR
 
 
-def _arm(policy: DPNextFailurePolicy, scenario: dict, jobs: int,
-         use_shm: bool) -> dict:
+def _arm(policy: DPNextFailurePolicy, scenario: dict, jobs: int) -> dict:
     """Run one arm cold (both caches cleared) and time it."""
     clear_cache()
     clear_replan_memo()
@@ -66,11 +70,6 @@ def _arm(policy: DPNextFailurePolicy, scenario: dict, jobs: int,
         include_lower_bound=False,
         include_period_lb=False,
         jobs=jobs,
-        use_memo=policy.use_memo,
-        use_shm=use_shm,
-        # each arm must pay its own in-memory cold cost; a persistent
-        # tier would hand arms 2 and 3 the solves arm 1 just paid for
-        use_disk_cache=False,
     )
     elapsed = time.perf_counter() - t0
     return {
@@ -100,19 +99,20 @@ def bench_pipeline(smoke: bool) -> dict:
     # At least 2 workers even on a 1-CPU host so the shared-memory
     # publication path is exercised (its gate is identity, not speed).
     jobs = max(2, min(4, os.cpu_count() or 1))
+    # each arm must pay its own in-memory cold cost; a persistent tier
+    # would hand arms 2 and 3 the solves arm 1 just paid for
+    configure_disk_cache(enabled=False)
 
-    baseline = _arm(
-        DPNextFailurePolicy(n_grid=n_grid, vectorized=False, use_memo=False),
-        scenario, jobs=1, use_shm=False,
-    )
-    fast = _arm(
-        DPNextFailurePolicy(n_grid=n_grid),
-        scenario, jobs=1, use_shm=False,
-    )
-    par = _arm(
-        DPNextFailurePolicy(n_grid=n_grid),
-        scenario, jobs=jobs, use_shm=True,
-    )
+    # cached_replan(..., solve): the reference replan is solve() itself
+    with mock.patch.object(
+        dp_policies, "cached_replan", lambda *args: args[-1]()
+    ):
+        baseline = _arm(
+            DPNextFailurePolicy(n_grid=n_grid, vectorized=False),
+            scenario, jobs=1,
+        )
+    fast = _arm(DPNextFailurePolicy(n_grid=n_grid), scenario, jobs=1)
+    par = _arm(DPNextFailurePolicy(n_grid=n_grid), scenario, jobs=jobs)
 
     identical = bool(
         np.array_equal(baseline["makespans"], fast["makespans"])

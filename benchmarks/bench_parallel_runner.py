@@ -1,16 +1,15 @@
 """Parallel runner and DP-cache speedup measurement.
 
 Runs one fixed DP-heavy scenario sweep (the regime where the table
-cache and the process pool actually matter) four ways:
+cache and the process pool actually matter) three ways:
 
 1. serial, cold DP cache;
 2. serial, warm DP cache (second run of the identical sweep);
-3. serial, cache disabled (the ``--no-cache`` baseline);
-4. parallel (``REPRO_BENCH_JOBS`` workers, default = one per CPU).
+3. parallel (``REPRO_BENCH_JOBS`` workers, default = one per CPU).
 
 and reports wall-clock, speedups over the cold serial run, and the
 cache hit/miss counters surfaced in ``ScenarioResult``.  Per-trace
-makespans are asserted bit-identical across all four runs — the
+makespans are asserted bit-identical across all three runs — the
 determinism guarantee the parallel layer is built on.
 
 The measured numbers land in ``benchmarks/results/parallel_runner.txt``
@@ -35,7 +34,7 @@ from repro.units import DAY, HOUR
 from _util import bench_scale, report, run_once
 
 
-def _sweep(jobs: int, use_cache: bool, n_traces: int):
+def _sweep(jobs: int, n_traces: int):
     platform = Platform(
         p=8,
         dist=Weibull.from_mtbf(18 * HOUR, 0.7),
@@ -51,7 +50,6 @@ def _sweep(jobs: int, use_cache: bool, n_traces: int):
         seed=2011,
         period_lb_factors=[0.5, 0.8, 1.0, 1.25, 2.0],
         jobs=jobs,
-        use_cache=use_cache,
     )
 
 
@@ -67,11 +65,10 @@ def test_parallel_runner_speedup(benchmark):
 
     def run_all():
         clear_cache()
-        rows = [timed("serial cold cache", lambda: _sweep(1, True, n_traces))]
-        rows.append(timed("serial warm cache", lambda: _sweep(1, True, n_traces)))
-        rows.append(timed("serial no cache", lambda: _sweep(1, False, n_traces)))
+        rows = [timed("serial cold cache", lambda: _sweep(1, n_traces))]
+        rows.append(timed("serial warm cache", lambda: _sweep(1, n_traces)))
         clear_cache()  # parallel run starts cold, like the serial baseline
-        rows.append(timed(f"parallel jobs={jobs}", lambda: _sweep(jobs, True, n_traces)))
+        rows.append(timed(f"parallel jobs={jobs}", lambda: _sweep(jobs, n_traces)))
         return rows
 
     rows = run_once(benchmark, run_all)

@@ -54,6 +54,7 @@ def _child_main(config: dict) -> dict:
     import time
 
     from repro.cluster.models import ConstantOverhead, Platform
+    from repro.core.diskcache import configure_disk_cache
     from repro.distributions.weibull import Weibull
     from repro.policies.dp import DPNextFailurePolicy
     from repro.simulation.runner import run_scenarios
@@ -65,6 +66,7 @@ def _child_main(config: dict) -> dict:
         downtime=60.0,
         overhead=ConstantOverhead(600.0),
     )
+    configure_disk_cache(enabled=config.get("use_disk_cache", True))
     policy = DPNextFailurePolicy(n_grid=config["n_grid"])
     pass_seconds = []
     for _ in range(config.get("repeat", 1)):
@@ -79,7 +81,6 @@ def _child_main(config: dict) -> dict:
             include_lower_bound=False,
             include_period_lb=False,
             jobs=config["jobs"],
-            use_disk_cache=config.get("use_disk_cache", True),
         )
         pass_seconds.append(time.perf_counter() - t0)
     # counters and makespans below are the LAST pass's (each

@@ -6,11 +6,11 @@ signature), each in its **own child process** against a private
 ``.repro-service/`` root so the persistent disk tier cannot leak
 between arms:
 
-1. **baseline** — ``run_sweep(..., use_sweep_plan=False)``: every grid
+1. **baseline** — ``[spec.run() for spec in specs]``: every grid
    point runs as an independent scenario, regenerating its trace set
    and recompiling its :class:`TraceEnsemble` — exactly what a loop of
    ``repro run`` calls would execute.
-2. **sweep** — ``run_sweep(..., use_sweep_plan=True)``: the planner
+2. **sweep** — ``run_sweep(specs)``: the planner
    collapses the grid into one trace group; traces are generated once
    and the ensemble compiled once for all 24 points.
 
@@ -20,8 +20,8 @@ across arms — planning moves work, never results.  ``--smoke`` (CI)
 checks only that identity at toy sizes; the full run asserts the speed
 gate and archives ``BENCH_sweep.json`` with host metadata.
 
-Child processes time *only* the ``run_sweep`` call (not interpreter
-startup or imports), so the reported ratio is trace-sharing, not
+Child processes time *only* the arm's runs (not interpreter startup or
+imports), so the reported ratio is trace-sharing, not
 process overhead.
 """
 
@@ -70,17 +70,18 @@ def _child_main(config: dict) -> dict:
         comparable_result_payload,
         scenario_result_to_dict,
     )
+    from repro.core.diskcache import configure_disk_cache
     from repro.service.spec import expand_grid
     from repro.simulation.sweep import run_sweep
 
+    configure_disk_cache(enabled=False)  # isolate trace-sharing from the disk tier
     specs = expand_grid(config["base"], config["grid"])
     t0 = time.perf_counter()
-    sweep = run_sweep(
-        specs,
-        jobs=config["jobs"],
-        use_sweep_plan=config["use_sweep_plan"],
-        use_disk_cache=False,  # isolate trace-sharing from the disk tier
-    )
+    if config["planned"]:
+        sweep = run_sweep(specs, jobs=config["jobs"])
+        results = sweep.results
+    else:
+        results = [spec.run(jobs=config["jobs"]) for spec in specs]
     seconds = time.perf_counter() - t0
     # canonical JSON of the comparable payload per point: the parent's
     # identity gate is a plain string equality over these
@@ -89,16 +90,17 @@ def _child_main(config: dict) -> dict:
             comparable_result_payload(scenario_result_to_dict(result)),
             sort_keys=True,
         )
-        for result in sweep.results
+        for result in results
     ]
-    return {
-        "seconds": seconds,
-        "payloads": payloads,
-        "plan": sweep.plan.to_dict(),
-        "counters": sweep.counters,
-        "group_stats": sweep.group_stats,
-        "scheduler": sweep.scheduler_summary(),
-    }
+    out = {"seconds": seconds, "payloads": payloads}
+    if config["planned"]:
+        out.update(
+            plan=sweep.plan.to_dict(),
+            counters=sweep.counters,
+            group_stats=sweep.group_stats,
+            scheduler=sweep.scheduler_summary(),
+        )
+    return out
 
 
 def _run_child(config: dict, service_dir: pathlib.Path) -> dict:
@@ -131,11 +133,11 @@ def bench_sweep(smoke: bool) -> dict:
         tier_a = pathlib.Path(tmp) / "tier-a"
         tier_b = pathlib.Path(tmp) / "tier-b"
         baseline = _run_child(
-            {"base": base, "grid": grid, "jobs": 1, "use_sweep_plan": False},
+            {"base": base, "grid": grid, "jobs": 1, "planned": False},
             tier_a,
         )
         sweep = _run_child(
-            {"base": base, "grid": grid, "jobs": 1, "use_sweep_plan": True},
+            {"base": base, "grid": grid, "jobs": 1, "planned": True},
             tier_b,
         )
 

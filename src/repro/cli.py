@@ -33,9 +33,8 @@ Durations accept suffixes: ``s`` (default), ``m``, ``h``, ``d``, ``w``,
 
 Scenario-running subcommands take ``--jobs N`` (fan scenario work out
 over ``N`` worker processes; 0 = one per CPU; results are bit-identical
-to ``--jobs 1``) plus the
-``--no-cache/--no-batch/--no-memo/--no-shm/--no-disk-cache`` escape
-hatches — see ``docs/performance.md``.
+to ``--jobs 1``) and ``--no-disk-cache`` (keep every solve in-process,
+e.g. on a read-only filesystem) — see ``docs/performance.md``.
 """
 
 from __future__ import annotations
@@ -240,23 +239,6 @@ def _parse_grid(items: list[str] | None) -> dict[str, list[Any]]:
     return grid
 
 
-def _execution_dict(args: argparse.Namespace) -> dict[str, Any]:
-    """The per-invocation execution knobs as an options dict."""
-    out: dict[str, Any] = {}
-    if getattr(args, "jobs", None) is not None:
-        out["jobs"] = args.jobs
-    for flag, key in (
-        ("no_cache", "use_cache"),
-        ("no_batch", "use_batch"),
-        ("no_memo", "use_memo"),
-        ("no_shm", "use_shm"),
-        ("no_disk_cache", "use_disk_cache"),
-    ):
-        if getattr(args, flag, False):
-            out[key] = False
-    return out
-
-
 # ----------------------------------------------------------------------
 # scenario subcommands (direct execution)
 # ----------------------------------------------------------------------
@@ -266,10 +248,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     from repro.service.serialize import scenario_result_to_dict
 
     spec = _spec_from_args(args)
-    execution = _execution_dict(args)
     hlog(f"running scenario {spec.signature()[:12]} "
          f"({len(spec.policies)} policies x {spec.n_traces} traces)")
-    result = spec.run(**execution)
+    result = spec.run(jobs=args.jobs)
     data = {
         "spec": spec.to_dict(),
         "signature": spec.signature(),
@@ -290,7 +271,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     if len(spec.policies) < 2:
         hlog("note: comparing a single policy; add --policies a,b,c")
-    result = spec.run(**_execution_dict(args))
+    result = spec.run(jobs=args.jobs)
     stats = degradation_from_best(result.makespans)
     policies: dict[str, Any] = {}
     for name, spans in result.makespans.items():
@@ -325,16 +306,15 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     from repro.simulation.runner import aggregate_counters
 
     spec = _spec_from_args(args)
-    execution = _execution_dict(args)
     clear_cache()
     clear_replan_memo()
     hlog(f"benchmark: cold run of {spec.signature()[:12]} ...")
     t0 = time.perf_counter()  # reprolint: clock-ok=benchmark timing
-    cold = spec.run(**execution)
+    cold = spec.run(jobs=args.jobs)
     cold_s = time.perf_counter() - t0  # reprolint: clock-ok=benchmark timing
     hlog(f"benchmark: warm run ({cold_s:.2f}s cold) ...")
     t0 = time.perf_counter()  # reprolint: clock-ok=benchmark timing
-    warm = spec.run(**execution)
+    warm = spec.run(jobs=args.jobs)
     warm_s = time.perf_counter() - t0  # reprolint: clock-ok=benchmark timing
     data = {
         "spec": spec.to_dict(),
@@ -368,14 +348,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     base = _raw_spec_from_args(args)
     grid = _parse_grid(args.grid)
     specs = expand_grid(base, grid)
-    use_sweep_plan = not args.no_sweep_plan
 
     if args.submit:
         client = _client(args)
         env = client.submit_batch(
             specs=[spec.to_dict() for spec in specs],
-            execution=_execution_dict(args) or None,
-            use_sweep_plan=use_sweep_plan,
+            execution=None if args.jobs is None else {"jobs": args.jobs},
         )
         if not env["ok"]:
             return emit({**env, "command": "sweep"})
@@ -399,18 +377,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             },
         ))
 
-    execution = _execution_dict(args)
     axes = ", ".join(f"{k}x{len(v)}" for k, v in grid.items())
     hlog(f"sweep: {len(specs)} grid point(s) ({axes or 'no axes'})")
     sweep = run_sweep(
         specs,
-        jobs=execution.get("jobs"),
-        use_cache=execution.get("use_cache"),
-        use_batch=execution.get("use_batch"),
-        use_memo=execution.get("use_memo"),
-        use_shm=execution.get("use_shm"),
-        use_disk_cache=execution.get("use_disk_cache"),
-        use_sweep_plan=use_sweep_plan,
+        jobs=args.jobs,
         progress=lambda done, total: hlog(f"sweep: {done}/{total} points"),
     )
     points = [
@@ -426,7 +397,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "base": base,
         "grid": grid,
         "plan": plan,
-        "sweep_planned": sweep.sweep_planned,
         "n_jobs": sweep.n_jobs,
         "elapsed": sweep.elapsed,
         "points": points,
@@ -480,7 +450,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     from repro.simulation import simulate_job, simulate_lower_bound
     from repro.traces import generate_platform_traces
 
-    _apply_execution_flags(args)
     dist = _make_dist(args)
     mtbf_platform = (dist.mean() + args.downtime) / args.units
     # the 60x on per-processor work is a horizon budget, not a minute
@@ -569,8 +538,10 @@ def _stats_dict(stats) -> dict[str, Any]:
 def cmd_experiment(args: argparse.Namespace) -> int:
     from repro.analysis import ascii_chart, format_degradation_table, format_series
     from repro.experiments import MEDIUM, SMALL, SMOKE
+    from repro.simulation.parallel import set_default_execution
 
-    _apply_execution_flags(args)
+    # experiment drivers read the process-wide worker count
+    set_default_execution(jobs=args.jobs)
     scale = {"smoke": SMOKE, "small": SMALL, "medium": MEDIUM}[args.scale]
     name = args.name
     data: dict[str, Any] = {"name": name, "scale": args.scale}
@@ -827,7 +798,10 @@ def _client(args: argparse.Namespace):
 def cmd_submit(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     client = _client(args)
-    env = client.submit(spec.to_dict(), execution=_execution_dict(args) or None)
+    env = client.submit(
+        spec.to_dict(),
+        execution=None if args.jobs is None else {"jobs": args.jobs},
+    )
     if not env["ok"]:
         return emit({**env, "command": "submit"})
     data = dict(env["data"])
@@ -935,42 +909,10 @@ def _add_execution_args(p: argparse.ArgumentParser) -> None:
                    help="worker processes for scenario execution "
                         "(default 1 = serial; 0 = one per CPU; results "
                         "are bit-identical for any N)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="bypass the shared DP table cache")
-    p.add_argument("--no-batch", action="store_true",
-                   help="force the scalar engine instead of the "
-                        "vectorized batch replay (bit-identical "
-                        "results; escape hatch / A-B check)")
-    p.add_argument("--no-memo", action="store_true",
-                   help="bypass the cross-trace DPNextFailure replan "
-                        "memo (bit-identical results; escape hatch / "
-                        "A-B check)")
-    p.add_argument("--no-shm", action="store_true",
-                   help="disable shared-memory trace publication; "
-                        "parallel workers regenerate traces per work "
-                        "unit (bit-identical results)")
     p.add_argument("--no-disk-cache", action="store_true",
                    help="bypass the persistent disk solve tier under "
                         ".repro-service/solvecache/ (bit-identical "
                         "results; every solve stays in-process)")
-
-
-def _apply_execution_flags(args: argparse.Namespace) -> None:
-    """Install --jobs/--no-cache/--no-batch/--no-memo/--no-shm/
-    --no-disk-cache as the process-wide execution default so every
-    driver underneath the command inherits them."""
-    from repro.simulation.parallel import set_default_execution
-
-    set_default_execution(
-        jobs=getattr(args, "jobs", None),
-        use_cache=False if getattr(args, "no_cache", False) else None,
-        use_batch=False if getattr(args, "no_batch", False) else None,
-        use_memo=False if getattr(args, "no_memo", False) else None,
-        use_shm=False if getattr(args, "no_shm", False) else None,
-        use_disk_cache=(
-            False if getattr(args, "no_disk_cache", False) else None
-        ),
-    )
 
 
 def _add_common_scenario_args(
@@ -1049,10 +991,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "names with '+' within a value "
                               "(policies=young+dalylow,optexp)")
     _add_execution_args(p_sweep)
-    p_sweep.add_argument("--no-sweep-plan", action="store_true",
-                         help="run every grid point as an independent "
-                              "scenario (bit-identical results; escape "
-                              "hatch / A-B check)")
     _add_endpoint_arg(p_sweep)
     p_sweep.add_argument("--submit", action="store_true",
                          help="send the sweep to the daemon as one "
@@ -1223,6 +1161,11 @@ def main(argv: list[str] | None = None) -> int:
         args, "policies_default"
     ):
         args.policies = args.policies_default
+    if getattr(args, "no_disk_cache", False):
+        from repro.core.diskcache import configure_disk_cache
+
+        # a process-wide switch, set once before any pool forks
+        configure_disk_cache(enabled=False)
     try:
         return args.func(args)
     except KeyboardInterrupt:

@@ -23,8 +23,6 @@ Invalidation rules:
 - the cache is keyed on *values*, not identities, so there is nothing to
   invalidate as long as distributions are immutable (they are);
 - :func:`clear_cache` empties it (tests, memory pressure);
-- :func:`configure_cache` ``enabled=False`` bypasses it entirely (the
-  CLI ``--no-cache`` escape hatch); every lookup then counts as a miss;
 - the cache is bounded (LRU, default 256 tables) so unbounded sweeps
   cannot exhaust memory.
 
@@ -40,9 +38,9 @@ keyed wrappers consult the persistent disk tier
 hosts) before solving cold, and publish fresh solves back to it.  A
 disk hit is bit-identical to a cold solve (NumPy's binary format
 round-trips the tables exactly), so the tier never changes results —
-only who pays the solve.  ``use_disk_cache=False`` (the
-``--no-disk-cache`` / ``REPRO_BENCH_NO_DISKCACHE`` escape hatches)
-bypasses it entirely.
+only who pays the solve.  ``configure_disk_cache(enabled=False)`` (the
+``--no-disk-cache`` / ``REPRO_BENCH_NO_DISKCACHE`` switches) bypasses it
+entirely.
 
 Replan memo
 -----------
@@ -53,14 +51,12 @@ traces, sweeps and runner workers.  Its key is the *quantized*
 platform-state signature ``(distribution, horizon, C, u, nexact,
 napprox, compress, quantized ages)`` — see :func:`quantize_ages`.  The
 policy snaps processor ages onto the DP's own quantum lattice *before*
-solving, memo on or off, so a memo hit trivially returns the
-bit-identical ``DPNextFailureResult`` a cold solve would produce.
+solving, so a memo hit trivially returns the bit-identical
+``DPNextFailureResult`` a cold solve would produce.
 Quantization makes collisions common: every trace's fresh-platform
 initial plan shares one entry, truncated replans share the same horizon
 and quantum, and post-failure states (one age at zero, survivors on the
-lattice) collide across traces.  Controlled by
-:func:`configure_replan_memo` (the ``--no-memo`` /
-``REPRO_BENCH_NO_MEMO`` escape hatches); counters are surfaced as
+lattice) collide across traces.  Counters are surfaced as
 ``ScenarioResult.memo_hits`` / ``memo_misses``.
 """
 
@@ -114,37 +110,29 @@ class DPTableCache:
     result objects are never mutated after construction).
     """
 
-    def __init__(self, maxsize: int = 256, enabled: bool = True):
+    def __init__(self, maxsize: int = 256):
         if maxsize < 1:
             raise ValueError("maxsize must be >= 1")
         self.maxsize = maxsize
-        self.enabled = enabled
         self._data: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
     def get_or_compute(self, key, compute):
-        """Return the cached value for ``key``, computing it on a miss.
-
-        With the cache disabled every call computes (and counts as a
-        miss) without storing, so ``--no-cache`` runs measure the true
-        uncached cost.
-        """
-        if self.enabled:
-            with self._lock:
-                if key in self._data:
-                    self.hits += 1
-                    self._data.move_to_end(key)
-                    return self._data[key]
+        """Return the cached value for ``key``, computing it on a miss."""
+        with self._lock:
+            if key in self._data:
+                self.hits += 1
+                self._data.move_to_end(key)
+                return self._data[key]
         value = compute()
         with self._lock:
             self.misses += 1
-            if self.enabled:
-                self._data[key] = value
-                self._data.move_to_end(key)
-                while len(self._data) > self.maxsize:
-                    self._data.popitem(last=False)
+            self._data[key] = value
+            self._data.move_to_end(key)
+            while len(self._data) > self.maxsize:
+                self._data.popitem(last=False)
         return value
 
     def clear(self) -> None:
@@ -173,8 +161,6 @@ class DPTableCache:
         """Insert foreign ``(key, value)`` pairs (missing keys only);
         returns how many were new.  Counters are untouched — a merge is
         transport, not a lookup."""
-        if not self.enabled:
-            return 0
         added = 0
         with self._lock:
             for key, value in items:
@@ -204,11 +190,8 @@ def get_cache() -> DPTableCache:
     return _CACHE
 
 
-def configure_cache(enabled: bool | None = None, maxsize: int | None = None) -> None:
-    """Adjust the global cache.  Disabling does not drop stored tables;
-    re-enabling resumes hitting them."""
-    if enabled is not None:
-        _CACHE.enabled = bool(enabled)
+def configure_cache(maxsize: int | None = None) -> None:
+    """Adjust the global cache's bound."""
     if maxsize is not None:
         if maxsize < 1:
             raise ValueError("maxsize must be >= 1")
@@ -245,9 +228,7 @@ def cached_dp_makespan(
     The key is the full scenario tuple, so any two calls that would
     solve the same DP share one table.  An L1 miss consults the
     persistent disk tier before solving cold, and publishes a cold
-    solve back to it (:mod:`repro.core.diskcache`).  With the L1 cache
-    *disabled* the disk tier is bypassed too: ``--no-cache`` keeps its
-    meaning of measuring the true uncached solve cost.
+    solve back to it (:mod:`repro.core.diskcache`).
     """
     from repro.core import diskcache
     from repro.core.dp_makespan import dp_makespan
@@ -264,16 +245,6 @@ def cached_dp_makespan(
     )
 
     def compute():
-        if not _CACHE.enabled:
-            return dp_makespan(
-                work=work,
-                checkpoint=checkpoint,
-                downtime=downtime,
-                recovery=recovery,
-                dist=dist,
-                u=u,
-                tau0=tau0,
-            )
         stored = diskcache.load_dp_makespan(key)
         if stored is not None:
             return stored
@@ -340,14 +311,9 @@ def get_replan_memo() -> DPTableCache:
     return _REPLAN_MEMO
 
 
-def configure_replan_memo(
-    enabled: bool | None = None, maxsize: int | None = None
-) -> None:
-    """Adjust the global replan memo.  Disabling does not drop stored
-    results; re-enabling resumes hitting them (mirrors
+def configure_replan_memo(maxsize: int | None = None) -> None:
+    """Adjust the global replan memo's bound (mirrors
     :func:`configure_cache`)."""
-    if enabled is not None:
-        _REPLAN_MEMO.enabled = bool(enabled)
     if maxsize is not None:
         if maxsize < 1:
             raise ValueError("maxsize must be >= 1")
@@ -373,8 +339,8 @@ def quantize_ages(ages: np.ndarray, resolution: float) -> np.ndarray:
     same lattice (the policy default is ``resolution = u``) applies that
     discretization consistently to the state signature, which is what
     makes post-failure states collide in the replan memo.  It is applied
-    unconditionally by the policy — memo on or off — so memoized and
-    cold runs follow identical trajectories.  ``resolution <= 0``
+    before the memo lookup, so a memo hit and a cold solve follow
+    identical trajectories.  ``resolution <= 0``
     disables snapping and returns the ages unchanged.
     """
     ages = np.asarray(ages, dtype=float)
@@ -408,8 +374,6 @@ def cached_replan(
     ``solve`` — this is how parallel runner workers share one memo:
     the first worker to solve a signature persists it, every later
     worker's L1 miss becomes a disk hit instead of a duplicate solve.
-    With the memo *disabled* the disk tier is bypassed too, so
-    ``--no-memo`` still measures the true uncached replan cost.
     """
     from repro.core import diskcache
 
@@ -426,8 +390,6 @@ def cached_replan(
     )
 
     def compute():
-        if not _REPLAN_MEMO.enabled:
-            return solve()
         stored = diskcache.load_replan(key)
         if stored is not None:
             return stored

@@ -598,9 +598,10 @@ def configure_disk_cache(
     root: Path | str | None = None,
     max_bytes: int | None = None,
 ) -> None:
-    """Adjust the global disk tier.  Disabling never touches stored
-    entries; re-enabling resumes hitting them (mirrors
-    :func:`repro.core.cache.configure_cache`)."""
+    """Adjust the global disk tier.  ``enabled=False`` is the one
+    execution switch left (CLI ``--no-disk-cache``, e.g. on a read-only
+    filesystem), set once per process; disabling never touches stored
+    entries and re-enabling resumes hitting them."""
     if enabled is not None:
         _DISK.enabled = bool(enabled)
     if root is not None:

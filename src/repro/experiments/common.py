@@ -100,15 +100,14 @@ def evaluate_scenario(
     seed=0,
     include_period_lb: bool = True,
     jobs: int | None = None,
-    use_cache: bool | None = None,
 ) -> ScenarioOutcome:
     """Run all policies + LowerBound + PeriodLB and compute degradations.
 
-    ``jobs`` / ``use_cache`` select the execution mode (see
+    ``jobs`` selects the worker count (see
     :func:`repro.simulation.runner.run_scenarios`); ``None`` reads the
-    process-wide default set by the CLI ``--jobs`` / ``--no-cache``
-    flags or :func:`repro.simulation.parallel.set_default_execution`,
-    so every experiment driver inherits them without plumbing.
+    process-wide default set by the CLI ``--jobs`` flag or
+    :func:`repro.simulation.parallel.set_default_execution`, so every
+    experiment driver inherits it without plumbing.
     """
     raw = run_scenarios(
         policies,
@@ -125,6 +124,5 @@ def evaluate_scenario(
         period_lb_traces=min(scale.period_lb_traces, scale.n_traces),
         max_makespan=scale.max_makespan_factor * work_time,
         jobs=jobs,
-        use_cache=use_cache,
     )
     return ScenarioOutcome(raw=raw, degradation=degradation_from_best(raw.makespans))

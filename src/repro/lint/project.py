@@ -428,23 +428,13 @@ class _FunctionScanner(ast.NodeVisitor):
 
 # Fast-path knobs whose gating branches R14 audits: each selects a
 # bit-identical accelerated implementation with a reference escape hatch.
-KNOB_NAMES = frozenset(
-    {
-        "use_batch",
-        "use_memo",
-        "use_shm",
-        "use_cache",
-        "use_disk_cache",
-        "use_sweep_plan",
-        "vectorized",
-    }
-)
+KNOB_NAMES = frozenset({"use_disk_cache", "vectorized"})
 
 
 def _knob_test(expr: ast.expr) -> tuple[str, bool] | None:
     """``(knob, positive)`` when ``expr`` tests a fast-path knob:
     a bare name, ``self.<knob>``, ``not <knob-test>``, or the first
-    operand of an ``and`` chain (``if use_shm and n > 1:``)."""
+    operand of an ``and`` chain (``if vectorized and n > 1:``)."""
     if isinstance(expr, ast.BoolOp) and isinstance(expr.op, ast.And) and expr.values:
         return _knob_test(expr.values[0])
     if isinstance(expr, ast.UnaryOp) and isinstance(expr.op, ast.Not):

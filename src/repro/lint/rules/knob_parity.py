@@ -1,15 +1,15 @@
 """R14 — knob-parity (interprocedural).
 
-The paper's headline numbers are produced by accelerated paths (batch
-replay, replan memo, shared-memory ensembles) that are only trustworthy
-because a reference slow path computes the same answer bit-for-bit.
-That escape hatch dies in two quiet ways R14 watches for:
+The paper's headline numbers are produced by accelerated paths that
+are only trustworthy because a reference slow path computes the same
+answer bit-for-bit.  Where a knob still selects between the two at run
+time, that escape hatch dies in two quiet ways R14 watches for:
 
 - **severed branch** — a function gating on a fast-path knob
-  (``use_batch``, ``use_memo``, ``use_shm``, ``use_cache``,
-  ``vectorized``) whose knob-off behavior is falling off the end of the
-  function (``no-slow-path``) or a bare ``raise`` (``raising-slow-path``)
-  no longer *has* a reference branch to compare against;
+  (``use_disk_cache``, ``vectorized``) whose knob-off behavior is
+  falling off the end of the function (``no-slow-path``) or a bare
+  ``raise`` (``raising-slow-path``) no longer *has* a reference branch
+  to compare against;
 - **dropped knob** — a function that accepts a knob calls a callee that
   also accepts it but does not forward it: the CLI flag still parses,
   the kernel below silently always runs one path.
@@ -67,8 +67,8 @@ class KnobParityRule:
     code = "R14"
     name = "knob-parity"
     description = (
-        "every function branching on a fast-path knob (use_batch, "
-        "use_memo, use_shm, use_cache, vectorized) keeps a reference "
+        "every function branching on a fast-path knob (use_disk_cache, "
+        "vectorized) keeps a reference "
         "slow-path branch, and callers holding a knob forward it to "
         "callees that accept it"
     )

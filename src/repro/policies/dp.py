@@ -53,20 +53,16 @@ class DPNextFailurePolicy(Policy):
     use_fraction:
         Fraction of the planned chunks actually executed before
         replanning when the plan was truncated (paper: 1/2).
-    use_memo:
-        Consult the process-wide replan memo
-        (:mod:`repro.core.cache`): replans whose quantized platform
-        state, horizon and DP parameters match a previous solve —
-        across traces, sweeps and runner workers — reuse the
-        bit-identical result.  ``False`` solves cold every time (the
-        ``--no-memo`` escape hatch).
     memo_quant:
         Age-lattice resolution in units of the DP quantum ``u``: before
         every replan the processor ages are snapped to multiples of
         ``memo_quant * u`` (the discretization the DP applies to work
-        and elapsed time anyway).  Applied memo on *or* off, so both
-        modes follow identical trajectories; ``0`` disables snapping
-        (and with it most cross-trace memo collisions).
+        and elapsed time anyway).  Every replan goes through the
+        process-wide replan memo (:mod:`repro.core.cache`), so replans
+        whose snapped state, horizon and DP parameters match a previous
+        solve — across traces, sweeps and runner workers — reuse the
+        bit-identical result; ``0`` disables snapping (and with it most
+        cross-trace memo collisions).
     vectorized:
         Build survival lattices with the batched kernels (True) or the
         scalar reference path (False); results are bit-identical.
@@ -82,7 +78,6 @@ class DPNextFailurePolicy(Policy):
         truncation: float = 2.0,
         use_fraction: float = 0.5,
         compress: bool = True,
-        use_memo: bool = True,
         memo_quant: float = 1.0,
         vectorized: bool = True,
     ):
@@ -96,7 +91,6 @@ class DPNextFailurePolicy(Policy):
         self.truncation = truncation
         self.use_fraction = use_fraction
         self.compress = compress
-        self.use_memo = use_memo
         self.memo_quant = memo_quant
         self.vectorized = vectorized
         self._queue: deque[float] = deque()
@@ -125,9 +119,9 @@ class DPNextFailurePolicy(Policy):
                 horizon = cap
                 truncated = True
         u = max(horizon / self.n_grid, 1e-6)
-        # Ages are snapped to the DP's quantum lattice before solving —
-        # memo on or off — so a memo hit is trivially bit-identical to
-        # the cold solve it stands in for (see repro.core.cache).
+        # Ages are snapped to the DP's quantum lattice before solving,
+        # so a memo hit is trivially bit-identical to the cold solve it
+        # stands in for (see repro.core.cache).
         ages = quantize_ages(
             np.asarray(ctx.ages, dtype=float), self.memo_quant * u
         )
@@ -140,20 +134,17 @@ class DPNextFailurePolicy(Policy):
                 horizon, ctx.checkpoint, state, u, vectorized=self.vectorized
             )
 
-        if self.use_memo:
-            result = cached_replan(
-                horizon,
-                ctx.checkpoint,
-                ctx.dist,
-                ages,
-                u,
-                self.nexact,
-                self.napprox,
-                self.compress,
-                solve,
-            )
-        else:
-            result = solve()
+        result = cached_replan(
+            horizon,
+            ctx.checkpoint,
+            ctx.dist,
+            ages,
+            u,
+            self.nexact,
+            self.napprox,
+            self.compress,
+            solve,
+        )
         chunks = list(result.chunks)
         if truncated and len(chunks) > 1:
             keep = max(1, int(math.ceil(len(chunks) * self.use_fraction)))

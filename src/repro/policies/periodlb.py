@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.policies.base import PeriodicPolicy
-from repro.simulation.engine import simulate_job
 
 __all__ = ["candidate_factors", "best_period_search", "PeriodSearchResult"]
 
@@ -56,60 +55,37 @@ def best_period_search(
     platform_mtbf: float = np.nan,
     factors=None,
     max_makespan: float = np.inf,
-    use_batch: bool = True,
 ) -> PeriodSearchResult:
     """Evaluate ``base_period * factor`` for every factor over the given
     job traces and return the period minimizing the mean makespan.
 
-    With ``use_batch`` (the default) every candidate is replayed by the
-    vectorized batch engine against one shared compiled ensemble —
-    bit-identical to the per-trace scalar sweep, much faster.
+    Every candidate is replayed by the vectorized batch engine against
+    one shared compiled ensemble — bit-identical to a per-trace
+    :func:`repro.simulation.engine.simulate_job` sweep, much faster.
     """
+    # Imported lazily: the batch engine imports the policies package,
+    # so a module-level import would be circular.
+    from repro.simulation.batch import TraceEnsemble, simulate_policy_ensemble
+
     if factors is None:
         factors = candidate_factors()
     periods = np.asarray(sorted(base_period * np.asarray(factors)))
     means = np.empty(periods.size)
-    ensemble = None
-    if use_batch and job_traces:
-        # Imported lazily: the batch engine imports the policies
-        # package, so a module-level import would be circular.
-        from repro.simulation.batch import TraceEnsemble
-
-        ensemble = TraceEnsemble(job_traces, recovery, t0)
+    ensemble = TraceEnsemble(job_traces, recovery, t0) if job_traces else None
     for idx, period in enumerate(periods):
-        policy = PeriodicPolicy(period, name="PeriodCandidate")
-        if ensemble is not None:
-            from repro.simulation.batch import simulate_policy_ensemble
-
-            results = simulate_policy_ensemble(
-                policy,
-                work_time,
-                job_traces,
-                checkpoint,
-                recovery,
-                dist,
-                t0=t0,
-                platform_mtbf=platform_mtbf,
-                max_makespan=max_makespan,
-                ensemble=ensemble,
-                use_batch=use_batch,
-            )
-            spans = [res.makespan for res in results if res is not None]
-        else:
-            spans = [
-                simulate_job(
-                    policy,
-                    work_time,
-                    tr,
-                    checkpoint,
-                    recovery,
-                    dist,
-                    t0=t0,
-                    platform_mtbf=platform_mtbf,
-                    max_makespan=max_makespan,
-                ).makespan
-                for tr in job_traces
-            ]
+        results = simulate_policy_ensemble(
+            PeriodicPolicy(period, name="PeriodCandidate"),
+            work_time,
+            job_traces,
+            checkpoint,
+            recovery,
+            dist,
+            t0=t0,
+            platform_mtbf=platform_mtbf,
+            max_makespan=max_makespan,
+            ensemble=ensemble,
+        )
+        spans = [res.makespan for res in results if res is not None]
         means[idx] = float(np.mean(spans))
     best = int(np.argmin(means))
     return PeriodSearchResult(

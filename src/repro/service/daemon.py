@@ -29,9 +29,8 @@ A batch is one sweep: every point becomes a member job with the usual
 coalesce/cached semantics, points are grouped by trace signature and
 each group executes over one shared trace set
 (:meth:`~repro.service.queue.JobQueue.submit_batch`).  The batch body
-may carry ``"execution"`` knobs and ``"use_sweep_plan": false`` (the
-bit-identical independent-runs escape hatch).  Member jobs stay
-individually addressable under ``/v1/jobs/<id>``.
+may carry ``"execution": {"jobs": N}``.  Member jobs stay individually
+addressable under ``/v1/jobs/<id>``.
 
 HTTP status mirrors envelope exit codes: 200 for ``ok``, 400 for bad
 requests, 404 for unknown jobs, 409 for not-ready results, 500 for
@@ -186,12 +185,7 @@ class _Handler(BaseHTTPRequestHandler):
             body = self._read_body()
             specs = self._batch_specs(body)
             execution = ExecutionOptions.from_dict(body.get("execution"))
-            use_sweep_plan = body.get("use_sweep_plan", True)
-            if not isinstance(use_sweep_plan, bool):
-                raise ValueError("use_sweep_plan must be a boolean")
-            batch = queue.submit_batch(
-                specs, execution, use_sweep_plan=use_sweep_plan
-            )
+            batch = queue.submit_batch(specs, execution)
             self._send(200, envelope(
                 "service.batch", queue.batch_status(batch.batch_id)
             ))

@@ -48,15 +48,12 @@ _TERMINAL = ("done", "failed", "cached")
 
 @dataclass(frozen=True)
 class ExecutionOptions:
-    """Execution knobs a submission may carry; never part of the
-    signature (they cannot change results, only wall-clock)."""
+    """Execution options a submission may carry: only the worker count,
+    never part of the signature (it cannot change results, only
+    wall-clock).  Nothing here touches process-wide state, so jobs the
+    daemon runs concurrently cannot change each other's execution."""
 
     jobs: int | None = None
-    use_cache: bool | None = None
-    use_batch: bool | None = None
-    use_memo: bool | None = None
-    use_shm: bool | None = None
-    use_disk_cache: bool | None = None
 
     @classmethod
     def from_dict(cls, raw: dict[str, Any] | None) -> "ExecutionOptions":
@@ -119,7 +116,6 @@ class _GroupTask:
 
     job_ids: list[str]
     execution: ExecutionOptions
-    use_sweep_plan: bool = True
 
 
 @dataclass
@@ -219,7 +215,6 @@ class JobQueue:
         self,
         specs: list[ScenarioSpec],
         execution: ExecutionOptions | None = None,
-        use_sweep_plan: bool = True,
     ) -> BatchRecord:
         """Register a sweep: one member job per grid point, coalesced
         into shared-trace group tasks.
@@ -270,16 +265,11 @@ class JobQueue:
                     "new_jobs": len(new_jobs),
                     "cached": cached,
                     "coalesced": len(specs) - len(new_jobs) - cached,
-                    "use_sweep_plan": use_sweep_plan,
                 },
             )
             self._batches[batch.batch_id] = batch
             for job_ids in groups.values():
-                self._tasks.put(_GroupTask(
-                    job_ids=job_ids,
-                    execution=execution,
-                    use_sweep_plan=use_sweep_plan,
-                ))
+                self._tasks.put(_GroupTask(job_ids=job_ids, execution=execution))
             return batch
 
     # -- execution -----------------------------------------------------
@@ -306,15 +296,7 @@ class JobQueue:
             job.progress_total = total
 
         try:
-            result = job.spec.run(
-                jobs=job.execution.jobs,
-                use_cache=job.execution.use_cache,
-                use_batch=job.execution.use_batch,
-                use_memo=job.execution.use_memo,
-                use_shm=job.execution.use_shm,
-                use_disk_cache=job.execution.use_disk_cache,
-                progress=on_progress,
-            )
+            result = job.spec.run(jobs=job.execution.jobs, progress=on_progress)
             result_doc = scenario_result_to_dict(result)
             self.store.put(job.signature, job.spec.to_dict(), result_doc)
             with self._lock:
@@ -375,17 +357,10 @@ class JobQueue:
                 self._by_signature.pop(job.signature, None)
             job._event.set()
 
-        execution = task.execution
         try:
             run_sweep(
                 specs,
-                jobs=execution.jobs,
-                use_cache=execution.use_cache,
-                use_batch=execution.use_batch,
-                use_memo=execution.use_memo,
-                use_shm=execution.use_shm,
-                use_disk_cache=execution.use_disk_cache,
-                use_sweep_plan=task.use_sweep_plan,
+                jobs=task.execution.jobs,
                 on_point_start=on_point_start,
                 on_point_done=on_point_done,
                 point_progress=point_progress,

@@ -11,10 +11,10 @@ of the content-addressed result store and of the job-queue coalescing
 logic: re-submitting an already-solved scenario is a store hit, not a
 re-solve — the same contract as the PR-5 replan memo, one level up.
 
-Execution knobs (``jobs``, ``use_cache`` …) are deliberately *not* part
-of a spec: they never change results (bit-identity is guaranteed by the
-runner), so two submissions that differ only in execution mode share
-one signature and one archived result.
+The worker count (``jobs``) is deliberately *not* part of a spec: it
+never changes results (bit-identity is guaranteed by the runner), so two
+submissions that differ only in execution mode share one signature and
+one archived result.
 """
 
 from __future__ import annotations
@@ -295,11 +295,6 @@ class ScenarioSpec:
     def run(
         self,
         jobs: int | None = None,
-        use_cache: bool | None = None,
-        use_batch: bool | None = None,
-        use_memo: bool | None = None,
-        use_shm: bool | None = None,
-        use_disk_cache: bool | None = None,
         progress: Callable[[int, int], None] | None = None,
         shared=None,
         executor=None,
@@ -307,7 +302,7 @@ class ScenarioSpec:
         """Execute this scenario on the PR-1/4/5 execution tier.
 
         Results are a pure function of the spec (bit-identical for any
-        execution knobs) — the property the content-addressed store and
+        ``jobs``) — the property the content-addressed store and
         the service's cached-resubmit contract rest on.  ``shared`` /
         ``executor`` are sweep-group plumbing (pre-built trace set, one
         process pool per grid); see
@@ -326,11 +321,6 @@ class ScenarioSpec:
             include_lower_bound=self.include_lower_bound,
             include_period_lb=self.include_period_lb,
             jobs=jobs,
-            use_cache=use_cache,
-            use_batch=use_batch,
-            use_memo=use_memo,
-            use_shm=use_shm,
-            use_disk_cache=use_disk_cache,
             progress=progress,
             shared=shared,
             executor=executor,

@@ -10,10 +10,8 @@ from repro.simulation.batch import (
 )
 from repro.simulation.engine import JobContext, simulate_job, simulate_lower_bound
 from repro.simulation.parallel import (
-    ExecutionConfig,
     ParallelRunner,
     SharedTraces,
-    get_default_execution,
     set_default_execution,
 )
 from repro.simulation.results import SimulationResult
@@ -42,10 +40,8 @@ __all__ = [
     "ScenarioResult",
     "aggregate_counters",
     "run_scenarios",
-    "ExecutionConfig",
     "ParallelRunner",
     "SharedTraces",
-    "get_default_execution",
     "set_default_execution",
     "SweepPlan",
     "SweepResult",

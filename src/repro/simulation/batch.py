@@ -510,35 +510,33 @@ def simulate_policy_ensemble(
     platform_mtbf: float = math.nan,
     max_makespan: float = math.inf,
     ensemble: TraceEnsemble | None = None,
-    use_batch: bool = True,
 ) -> list[SimulationResult | None]:
     """Run ``policy`` over ``traces``, batched when possible.
 
     The runner-facing dispatcher: one result per trace, with None
     marking (policy, trace) pairs on which the policy is infeasible —
-    the same pairs, batched or not.  ``use_batch=False`` (the
-    ``--no-batch`` escape hatch) forces the scalar engine.
+    the same pairs the scalar engine reports.  Policies without a
+    static schedule replay through the scalar engine.
     """
-    if use_batch:
-        try:
-            batched = simulate_job_batch(
-                policy,
-                work_time,
-                traces,
-                checkpoint,
-                recovery,
-                dist,
-                t0=t0,
-                platform_mtbf=platform_mtbf,
-                max_makespan=max_makespan,
-                ensemble=ensemble,
-            )
-        except PolicyInfeasibleError:
-            # setup-time infeasibility is scenario-wide: the scalar path
-            # raises identically on every trace
-            return [None] * len(traces)
-        if batched is not None:
-            return batched
+    try:
+        batched = simulate_job_batch(
+            policy,
+            work_time,
+            traces,
+            checkpoint,
+            recovery,
+            dist,
+            t0=t0,
+            platform_mtbf=platform_mtbf,
+            max_makespan=max_makespan,
+            ensemble=ensemble,
+        )
+    except PolicyInfeasibleError:
+        # setup-time infeasibility is scenario-wide: the scalar path
+        # raises identically on every trace
+        return [None] * len(traces)
+    if batched is not None:
+        return batched
     results: list[SimulationResult | None] = []
     for tr in traces:
         try:

@@ -11,7 +11,7 @@ Execution is delegated to
 work units in process, ``jobs>1`` fans them out over worker processes
 with bit-identical results (trace ``i`` is always generated from
 ``SeedSequence([seed, i])``, independent of batching).  Solved DP tables
-are shared through :mod:`repro.core.cache` unless ``use_cache=False``.
+are shared through :mod:`repro.core.cache`.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ class ScenarioResult:
     memo_hits / memo_misses:
         DPNextFailure replan-memo lookups observed during the run,
         aggregated over all workers; both zero when no adaptive policy
-        ran or the memo was disabled (``use_memo=False``).  The sums
+        ran.  The sums
         are *per-worker* counters: a signature solved independently by
         N workers contributes N misses.
     memo_unique_misses:
@@ -83,7 +83,7 @@ class ScenarioResult:
     disk_hits / disk_misses / disk_evictions:
         Persistent solve-tier activity (:mod:`repro.core.diskcache`)
         during the run, aggregated over all workers; all zero when the
-        tier is disabled (``use_disk_cache=False``).
+        tier is disabled (:func:`repro.core.diskcache.configure_disk_cache`).
     trace_gen_reused / ensemble_reused:
         True when the run consumed a sweep group's shared trace set /
         compiled ensemble (:mod:`repro.simulation.sweep`) instead of
@@ -176,12 +176,6 @@ def run_scenarios(
     period_lb_traces: int | None = None,
     max_makespan: float = math.inf,
     jobs: int | None = None,
-    use_cache: bool | None = None,
-    batch_size: int | None = None,
-    use_batch: bool | None = None,
-    use_memo: bool | None = None,
-    use_shm: bool | None = None,
-    use_disk_cache: bool | None = None,
     progress: Callable[[int, int], None] | None = None,
     shared=None,
     executor=None,
@@ -198,17 +192,7 @@ def run_scenarios(
     worker processes, 0 or negative uses every CPU, and ``None`` reads
     the process-wide default
     (:func:`repro.simulation.parallel.set_default_execution`).  Per-trace
-    results are bit-identical across all modes.  ``use_cache=False``
-    bypasses the shared DP table cache; ``use_batch=False`` forces the
-    scalar engine for policies the vectorized batch replay
-    (:mod:`repro.simulation.batch`) would otherwise handle — results
-    are bit-identical either way.  ``use_memo=False`` bypasses the
-    cross-trace DPNextFailure replan memo and ``use_shm=False`` the
-    shared-memory trace publication (parallel runs then regenerate
-    traces per work unit) — again without changing any result.
-    ``use_disk_cache=False`` bypasses the persistent disk solve tier
-    (:mod:`repro.core.diskcache`) below the in-memory caches — the
-    tier only moves solves between processes, never changes them.
+    results are bit-identical across all modes.
     ``progress`` is an optional ``(done, total)`` work-unit callback
     (see :class:`~repro.simulation.parallel.ParallelRunner`).
     ``shared`` hands the runner a pre-built
@@ -220,17 +204,7 @@ def run_scenarios(
     # module-level import would be circular through the package inits.
     from repro.simulation.parallel import ParallelRunner
 
-    runner = ParallelRunner(
-        jobs=jobs,
-        batch_size=batch_size,
-        use_cache=use_cache,
-        use_batch=use_batch,
-        use_memo=use_memo,
-        use_shm=use_shm,
-        use_disk_cache=use_disk_cache,
-        progress=progress,
-        executor=executor,
-    )
+    runner = ParallelRunner(jobs=jobs, progress=progress, executor=executor)
     return runner.run(
         policies,
         platform,

@@ -20,10 +20,9 @@ This module plans and executes the grid as a whole:
    work only shape the *replay*, so e.g. a checkpoint-cost axis or a
    policy axis collapses into one group.
 3. **Execute** (:func:`run_sweep`) — each group's traces are generated
-   **once**, its ensemble compiled once, and (with ``jobs > 1`` and
-   shm enabled) published to shared memory once; every point of the
-   group runs over that single
-   :class:`~repro.simulation.parallel.SharedTraces`.  One process pool
+   **once**, its ensemble compiled once, and (with ``jobs > 1``)
+   published to shared memory once; every point of the group runs over
+   that single :class:`~repro.simulation.parallel.SharedTraces`.  One process pool
    serves the whole sweep, and a one-ahead prefetch thread builds the
    *next* group's trace set while the current group replays, so
    workers never idle on generation between groups.
@@ -32,10 +31,7 @@ Bit-identity: trace ``i`` is a pure function of ``(platform, horizon,
 seed, i)`` (the determinism anchor), and a row subset of the group
 ensemble is replay-equivalent to compiling the subset alone — so a
 sweep's per-point results are bit-identical to N independent
-``run_scenarios`` calls.  ``use_sweep_plan=False`` is the enforced
-escape hatch (reprolint R14): it runs every point as an independent
-scenario, which is both the reference for identity tests and the
-fallback if shared planning ever misbehaves.
+``run_scenarios`` calls — the oracle the sweep tests compare against.
 """
 
 from __future__ import annotations
@@ -52,7 +48,6 @@ from repro.simulation.batch import TraceEnsemble
 from repro.simulation.parallel import (
     SharedTraces,
     _job_trace,
-    get_default_execution,
     resolve_jobs,
 )
 from repro.units import MINUTE
@@ -155,7 +150,6 @@ class SweepResult:
     counters: dict = field(default_factory=dict)
     elapsed: float = math.nan
     n_jobs: int = 1
-    sweep_planned: bool = True
 
     def scheduler_summary(self) -> dict[str, Any]:
         """Aggregate scheduler imbalance over every point that
@@ -207,7 +201,7 @@ class _GroupResources:
             self.publication = None
 
 
-def _build_group(spec, jobs: int, use_batch: bool, use_shm: bool) -> _GroupResources:
+def _build_group(spec, jobs: int) -> _GroupResources:
     """Generate one group's traces (from its first spec — every member
     shares the trace signature), compile the ensemble, and publish to
     shared memory when parallel workers will consume it."""
@@ -218,13 +212,10 @@ def _build_group(spec, jobs: int, use_batch: bool, use_shm: bool) -> _GroupResou
         _job_trace(platform, horizon, spec.seed, i)
         for i in range(spec.n_traces)
     ]
-    if use_batch:
-        ensemble = TraceEnsemble(traces, platform.recovery, spec.t0)
-    else:
-        ensemble = None
+    ensemble = TraceEnsemble(traces, platform.recovery, spec.t0)
     publication = None
     layout = None
-    if use_shm and jobs > 1 and traces:
+    if jobs > 1 and traces:
         try:
             publication = _shm.publish_scenario(
                 traces,
@@ -273,12 +264,6 @@ def _start_prefetch(build: Callable[[], _GroupResources]):
 def run_sweep(  # reprolint: disable=R6 each point's seed lives in its spec (trace i = f(platform, horizon, spec.seed, i))
     specs: Sequence,
     jobs: int | None = None,
-    use_cache: bool | None = None,
-    use_batch: bool | None = None,
-    use_memo: bool | None = None,
-    use_shm: bool | None = None,
-    use_disk_cache: bool | None = None,
-    use_sweep_plan: bool = True,
     progress: Callable[[int, int], None] | None = None,
     on_point_start: Callable[[int], None] | None = None,
     on_point_done: Callable[[int, Any], None] | None = None,
@@ -286,12 +271,11 @@ def run_sweep(  # reprolint: disable=R6 each point's seed lives in its spec (tra
 ) -> SweepResult:
     """Execute a list of :class:`ScenarioSpec` points as one sweep.
 
-    With ``use_sweep_plan`` (default) points are grouped by trace
-    signature and each group replays over one shared trace set /
-    ensemble / shm publication, with one process pool serving the whole
-    sweep and the next group's traces prefetched in the background.
-    With ``use_sweep_plan=False`` every point runs as an independent
-    scenario — the bit-identical reference path (``--no-sweep-plan``).
+    Points are grouped by trace signature and each group replays over
+    one shared trace set / ensemble / shm publication, with one process
+    pool serving the whole sweep and the next group's traces prefetched
+    in the background.  Per-point results are bit-identical to
+    ``spec.run()`` of each point alone.
 
     Callbacks: ``progress(done_points, total_points)`` after each point;
     ``on_point_start(i)`` / ``on_point_done(i, result)`` around each
@@ -300,7 +284,6 @@ def run_sweep(  # reprolint: disable=R6 each point's seed lives in its spec (tra
     affect results; callback exceptions propagate.
     """
     sweep_start = time.perf_counter()  # reprolint: clock-ok=diagnostic elapsed time
-    # runner knob semantics: None = read the process-wide default
     from repro.simulation.runner import aggregate_counters
 
     specs = list(specs)
@@ -313,17 +296,12 @@ def run_sweep(  # reprolint: disable=R6 each point's seed lives in its spec (tra
             return None
         return lambda d, t: point_progress(index, d, t)
 
-    def _run_point(index: int, shared=None, executor=None):
+    def _run_point(index: int, shared, executor):
         nonlocal done
         if on_point_start is not None:
             on_point_start(index)
         result = specs[index].run(
             jobs=jobs,
-            use_cache=use_cache,
-            use_batch=use_batch,
-            use_memo=use_memo,
-            use_shm=use_shm,
-            use_disk_cache=use_disk_cache,
             progress=_point_progress(index),
             shared=shared,
             executor=executor,
@@ -336,25 +314,7 @@ def run_sweep(  # reprolint: disable=R6 each point's seed lives in its spec (tra
             progress(done, len(specs))
         return result
 
-    if not use_sweep_plan:
-        # reference path: N independent scenario runs, exactly what a
-        # loop of `repro run` calls would execute
-        for index in range(len(specs)):
-            _run_point(index)
-        return SweepResult(
-            results=results,
-            plan=plan,
-            group_stats=[],
-            counters=aggregate_counters(results),
-            elapsed=time.perf_counter() - sweep_start,  # reprolint: clock-ok=diagnostic elapsed time
-            n_jobs=resolve_jobs(jobs),
-            sweep_planned=False,
-        )
-
-    cfg = get_default_execution()
     jobs_n = resolve_jobs(jobs)
-    batch_on = cfg.use_batch if use_batch is None else bool(use_batch)
-    shm_on = cfg.use_shm if use_shm is None else bool(use_shm)
 
     group_stats: list[dict] = []
     executor = ProcessPoolExecutor(max_workers=jobs_n) if jobs_n > 1 else None
@@ -362,9 +322,7 @@ def run_sweep(  # reprolint: disable=R6 each point's seed lives in its spec (tra
     try:
         for gi, group in enumerate(plan.groups):
             if pending is None:
-                resources = _build_group(
-                    specs[group.indices[0]], jobs_n, batch_on, shm_on
-                )
+                resources = _build_group(specs[group.indices[0]], jobs_n)
             else:
                 thread, box = pending
                 thread.join()
@@ -376,9 +334,7 @@ def run_sweep(  # reprolint: disable=R6 each point's seed lives in its spec (tra
             if gi + 1 < len(plan.groups):
                 next_spec = specs[plan.groups[gi + 1].indices[0]]
                 pending = _start_prefetch(
-                    lambda spec=next_spec: _build_group(
-                        spec, jobs_n, batch_on, shm_on
-                    )
+                    lambda spec=next_spec: _build_group(spec, jobs_n)
                 )
             shm_bytes = (
                 resources.publication.nbytes
@@ -418,5 +374,4 @@ def run_sweep(  # reprolint: disable=R6 each point's seed lives in its spec (tra
         counters=aggregate_counters(results),
         elapsed=time.perf_counter() - sweep_start,  # reprolint: clock-ok=diagnostic elapsed time
         n_jobs=jobs_n,
-        sweep_planned=True,
     )

@@ -79,3 +79,53 @@ def all_distributions():
 
 def dist_id(dist):
     return repr(dist)[:40]
+
+
+# ----------------------------------------------------------------------
+# reference oracles: the slow paths production no longer selects
+# ----------------------------------------------------------------------
+#
+# Each helper takes a ``monkeypatch`` (or ``monkeypatch.context()``)
+# handle, so a test can run one arm under the oracle and the other on
+# the production path.  Runner pools fork after the patch, so workers
+# inherit it.
+
+
+def bypass_solve_caches(mp):
+    """Cold solves for every DP policy: DPNextFailure replans and
+    DPMakespan / DPNextFailure tables go straight to the solvers — no
+    table cache, no replan memo, no disk tier."""
+    import repro.policies.dp as dp_policies
+    from repro.core.dp_makespan import dp_makespan
+    from repro.core.dp_nextfailure import dp_next_failure_parallel
+
+    # cached_replan(work, C, dist, ages, u, nexact, napprox, compress, solve)
+    mp.setattr(dp_policies, "cached_replan", lambda *args: args[-1]())
+    mp.setattr(
+        dp_policies, "cached_dp_makespan", lambda **kw: dp_makespan(**kw)
+    )
+    mp.setattr(
+        dp_policies,
+        "cached_dp_next_failure_parallel",
+        lambda work, checkpoint, state, u, vectorized=True: (
+            dp_next_failure_parallel(
+                work, checkpoint, state, u, vectorized=vectorized
+            )
+        ),
+    )
+
+
+def scalar_replay(mp):
+    """One scalar ``simulate_job`` per (policy, trace): the batch
+    engine declines every policy, so the runner's dispatcher takes its
+    scalar fallback."""
+    import repro.simulation.batch as batch
+
+    mp.setattr(batch, "simulate_job_batch", lambda *args, **kw: None)
+
+
+def disk_tier_off(mp):
+    """The persistent solve tier disabled (``--no-disk-cache``)."""
+    from repro.core.diskcache import get_disk_cache
+
+    mp.setattr(get_disk_cache(), "enabled", False)

@@ -3,25 +3,25 @@
 from __future__ import annotations
 
 
-def run_fast(values: list, use_batch: bool = True) -> list:
+def run_fast(values: list, vectorized: bool = True) -> list:
     # no-slow-path: knob-off falls off the end of the function
-    if use_batch:
+    if vectorized:
         return [v + v for v in values]
 
 
-def run_memo(values: list, use_memo: bool = True) -> list:
+def run_tier(values: list, use_disk_cache: bool = True) -> list:
     # raising-slow-path: the escape hatch became an error
-    if not use_memo:
+    if not use_disk_cache:
         raise RuntimeError("slow path removed")
     return sorted(values)
 
 
-def _ensemble(values: list, use_shm: bool = True) -> list:
-    if use_shm:
+def _ensemble(values: list, vectorized: bool = True) -> list:
+    if vectorized:
         return list(values)
     return [v for v in values]
 
 
-def sweep(values: list, use_shm: bool = True) -> list:
-    # dropped knob: _ensemble accepts use_shm but never receives it
+def sweep(values: list, vectorized: bool = True) -> list:
+    # dropped knob: _ensemble accepts vectorized but never receives it
     return _ensemble(values)

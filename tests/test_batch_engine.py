@@ -365,9 +365,11 @@ class TestRandomizedEnsembles:
 
 
 class TestRunnerDispatch:
-    def test_run_scenarios_batch_equals_scalar(self):
+    def test_run_scenarios_batch_equals_scalar(self, monkeypatch):
         from repro.cluster.models import ConstantOverhead, Platform
         from repro.simulation.runner import run_scenarios
+
+        from .conftest import scalar_replay
 
         dist = Weibull.from_mtbf(12 * HOUR, 0.7)
         platform = Platform(
@@ -383,8 +385,11 @@ class TestRunnerDispatch:
             include_period_lb=True,
             period_lb_traces=3,
         )
-        a = run_scenarios(policies, use_batch=True, **kw)
-        b = run_scenarios(policies, use_batch=False, **kw)
+        a = run_scenarios(policies, **kw)
+        # reference: one scalar simulate_job per (policy, trace)
+        with monkeypatch.context() as mp:
+            scalar_replay(mp)
+            b = run_scenarios(policies, **kw)
         assert a.best_period == b.best_period
         assert a.infeasible == b.infeasible
         for name in b.makespans:

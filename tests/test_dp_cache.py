@@ -1,5 +1,5 @@
-"""DP table cache: hits, key separation, bounds, the no-cache escape
-hatch, and distribution cache keys."""
+"""DP table cache: hits, key separation, bounds, identity with the
+uncached reference solves, and distribution cache keys."""
 
 from __future__ import annotations
 
@@ -24,12 +24,10 @@ from repro.units import DAY, HOUR
 
 @pytest.fixture(autouse=True)
 def fresh_cache():
-    """Each test starts from an empty, enabled global cache."""
+    """Each test starts from an empty global cache."""
     clear_cache()
-    configure_cache(enabled=True)
     yield
     clear_cache()
-    configure_cache(enabled=True)
 
 
 class TestDPTableCache:
@@ -51,15 +49,6 @@ class TestDPTableCache:
         cache.get_or_compute(2, lambda: calls.append(1) or "b2")
         assert calls  # 2 was recomputed
         cache.get_or_compute(3, lambda: (_ for _ in ()).throw(AssertionError))
-
-    def test_disabled_always_computes(self):
-        cache = DPTableCache(enabled=False)
-        calls = []
-        for _ in range(3):
-            cache.get_or_compute("k", lambda: calls.append(1) or len(calls))
-        assert len(calls) == 3
-        assert cache.hits == 0 and cache.misses == 3
-        assert len(cache) == 0
 
     def test_clear_resets(self):
         cache = DPTableCache()
@@ -178,25 +167,31 @@ class TestCachedDPNextFailure:
 
 
 class TestEscapeHatch:
+    """The cache against its reference: the uncached solver."""
+
     def test_configure_disable_enable(self):
         dist = Exponential.from_mtbf(DAY)
         kw = dict(work=6 * HOUR, checkpoint=600.0, downtime=60.0,
                   recovery=600.0, dist=dist, u=3600.0)
-        configure_cache(enabled=False)
-        a = cached_dp_makespan(**kw)
-        b = cached_dp_makespan(**kw)
-        assert a is not b  # recomputed every call
-        assert cache_stats().hits == 0
-        configure_cache(enabled=True)
+        a = dp_makespan(**kw)
+        b = dp_makespan(**kw)
+        assert a is not b  # the reference recomputes every call
         c = cached_dp_makespan(**kw)
         d = cached_dp_makespan(**kw)
         assert d is c
+        assert cache_stats().hits == 1
+        assert c.expected_makespan == a.expected_makespan
+        assert c.first_chunk == a.first_chunk
+        assert np.array_equal(c._c_pre, a._c_pre)
 
-    def test_no_cache_flag_reaches_runner_counters(self):
-        """use_cache=False on run_scenarios: every DP solve is a miss."""
+    def test_no_cache_flag_reaches_runner_counters(self, monkeypatch):
+        """A cached run equals the uncached reference run; only the
+        cached run touches the table cache."""
         from repro.cluster.models import ConstantOverhead, Platform
         from repro.policies import DPMakespanPolicy
         from repro.simulation.runner import run_scenarios
+
+        from .conftest import bypass_solve_caches
 
         platform = Platform(
             p=2,
@@ -204,19 +199,29 @@ class TestEscapeHatch:
             downtime=60.0,
             overhead=ConstantOverhead(600.0),
         )
-        res = run_scenarios(
-            [DPMakespanPolicy(n_grid=48)],
-            platform,
-            work_time=DAY,
-            n_traces=3,
-            horizon=100 * DAY,
-            seed=1,
-            include_period_lb=False,
-            jobs=1,
-            use_cache=False,
+
+        def run():
+            return run_scenarios(
+                [DPMakespanPolicy(n_grid=48)],
+                platform,
+                work_time=DAY,
+                n_traces=3,
+                horizon=100 * DAY,
+                seed=1,
+                include_period_lb=False,
+                jobs=1,
+            )
+
+        with monkeypatch.context() as mp:
+            bypass_solve_caches(mp)
+            reference = run()
+        assert reference.cache_hits == reference.cache_misses == 0
+        res = run()
+        assert res.cache_misses >= 1
+        assert res.cache_hits >= 2  # one solve shared by the 3 traces
+        assert np.array_equal(
+            res.makespans["DPMakespan"], reference.makespans["DPMakespan"]
         )
-        assert res.cache_hits == 0
-        assert res.cache_misses >= 3  # one uncached solve per trace
 
     def test_maxsize_validation(self):
         with pytest.raises(ValueError):

@@ -30,6 +30,8 @@ from repro.core.state import PlatformState, SurvivalTable
 from repro.distributions import Empirical, Exponential, Gamma, LogNormal, Weibull
 from repro.units import DAY, HOUR
 
+from .conftest import bypass_solve_caches
+
 DISTRIBUTIONS = [
     Exponential(1.0 / DAY),
     Weibull.from_mtbf(10 * DAY, 0.7),
@@ -41,12 +43,10 @@ DISTRIBUTIONS = [
 
 @pytest.fixture(autouse=True)
 def fresh_memo():
-    """Each test starts from an empty, enabled replan memo."""
+    """Each test starts from an empty replan memo."""
     clear_replan_memo()
-    configure_replan_memo(enabled=True)
     yield
     clear_replan_memo()
-    configure_replan_memo(enabled=True)
 
 
 class TestBatchedKernels:
@@ -187,22 +187,6 @@ class TestReplanMemo:
         stats = replan_memo_stats()
         assert stats.hits == 0 and stats.misses == 5
 
-    def test_disabled_memo_always_solves(self):
-        configure_replan_memo(enabled=False)
-        calls = []
-        dist = Exponential(1.0 / DAY)
-        ages = np.zeros(2)
-
-        def solve():
-            calls.append(1)
-            state = PlatformState(ages, dist)
-            return dp_next_failure_parallel(2 * HOUR, 600.0, state, 600.0)
-
-        for _ in range(3):
-            cached_replan(2 * HOUR, 600.0, dist, ages, 600.0, 10, 100, True, solve)
-        assert len(calls) == 3
-        assert replan_memo_stats().misses == 3
-
     def test_configure_maxsize_validation(self):
         with pytest.raises(ValueError):
             configure_replan_memo(maxsize=0)
@@ -212,10 +196,11 @@ class TestReplanMemo:
 
 
 class TestPolicyMemoEquivalence:
-    """DPNextFailurePolicy with the memo on/off follows identical
-    trajectories (quantization is applied unconditionally)."""
+    """DPNextFailurePolicy through the memo follows the trajectories of
+    cold solves (the ``bypass_solve_caches`` oracle; quantization is
+    applied before the memo lookup)."""
 
-    def _run(self, **policy_kw):
+    def _run(self, clear=True, **policy_kw):
         from repro.cluster.models import ConstantOverhead, Platform
         from repro.policies.dp import DPNextFailurePolicy
         from repro.simulation.runner import run_scenarios
@@ -226,7 +211,8 @@ class TestPolicyMemoEquivalence:
             downtime=60.0,
             overhead=ConstantOverhead(600.0),
         )
-        clear_replan_memo()
+        if clear:
+            clear_replan_memo()
         return run_scenarios(
             [DPNextFailurePolicy(n_grid=16, **policy_kw)],
             platform,
@@ -239,18 +225,32 @@ class TestPolicyMemoEquivalence:
             jobs=1,
         )
 
-    def test_memo_on_off_identical(self):
-        on = self._run(use_memo=True)
-        off = self._run(use_memo=False)
-        assert np.array_equal(
-            on.makespans["DPNextFailure"], off.makespans["DPNextFailure"]
-        )
-        assert on.memo_hits + on.memo_misses > 0
-        assert off.memo_hits == 0
+    def test_memo_on_off_identical(self, monkeypatch):
+        from repro.core.cache import clear_cache
+        from repro.core.diskcache import wipe_disk_cache
 
-    def test_vectorized_on_off_identical(self):
-        fast = self._run(vectorized=True, use_memo=False)
-        slow = self._run(vectorized=False, use_memo=False)
+        with monkeypatch.context() as mp:
+            bypass_solve_caches(mp)
+            off = self._run()
+        assert off.memo_hits + off.memo_misses == 0
+        # cold: memo, table cache and disk tier all empty
+        clear_cache()
+        wipe_disk_cache()
+        cold = self._run()
+        assert cold.memo_misses > 0 and cold.disk_hits == 0
+        # warm: every replan is an in-process memo hit
+        warm = self._run(clear=False)
+        assert warm.memo_misses == 0 and warm.memo_hits > 0
+        for run in (cold, warm):
+            assert np.array_equal(
+                run.makespans["DPNextFailure"], off.makespans["DPNextFailure"]
+            )
+
+    def test_vectorized_on_off_identical(self, monkeypatch):
+        # cold solves on both arms, so each kernel path really runs
+        bypass_solve_caches(monkeypatch)
+        fast = self._run(vectorized=True)
+        slow = self._run(vectorized=False)
         assert np.array_equal(
             fast.makespans["DPNextFailure"], slow.makespans["DPNextFailure"]
         )

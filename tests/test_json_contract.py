@@ -50,7 +50,7 @@ _CASES = [
     (["store", "--wipe-solves"], 0),
     (["store", "--wipe"], 0),
     (["sweep", *_TINY, "--grid", "checkpoint=5m,10m"], 0),
-    (["sweep", *_TINY, "--grid", "checkpoint=5m", "--no-sweep-plan"], 0),
+    (["sweep", *_TINY, "--grid", "checkpoint=5m", "--jobs", "1"], 0),
     # failure paths: still exactly one envelope on stdout
     (["run", "--override", "mtbf=-1"], 2),
     (["run", "--override", "nosuchfield=1"], 2),

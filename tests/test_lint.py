@@ -839,8 +839,8 @@ def test_r14_fires_when_reference_branch_is_deleted(tmp_path):
         "from __future__ import annotations\n"
         "\n"
         "\n"
-        "def replay(values, use_batch=True):\n"
-        "    if use_batch:\n"
+        "def replay(values, vectorized=True):\n"
+        "    if vectorized:\n"
         "        return [v + v for v in values]\n"
         "    return [v * 2 for v in values]\n"
     )
@@ -849,13 +849,13 @@ def test_r14_fires_when_reference_branch_is_deleted(tmp_path):
         "from __future__ import annotations\n"
         "\n"
         "\n"
-        "def replay(values, use_batch=True):\n"
-        "    if use_batch:\n"
+        "def replay(values, vectorized=True):\n"
+        "    if vectorized:\n"
         "        return [v + v for v in values]\n"
     )
     diags = lint_paths([mod])
     assert codes(diags) == {"R14"}
-    assert "use_batch" in diags[0].message
+    assert "vectorized" in diags[0].message
 
 
 def test_r15_trace_walks_handler_to_origin():

@@ -10,14 +10,14 @@ from repro.cluster.models import ConstantOverhead, Platform
 from repro.distributions import Exponential, Weibull
 from repro.policies import DPMakespanPolicy, DPNextFailurePolicy, Liu, OptExp, Young
 from repro.simulation.parallel import (
-    ExecutionConfig,
     ParallelRunner,
-    get_default_execution,
     resolve_jobs,
     set_default_execution,
 )
 from repro.simulation.runner import LOWER_BOUND, PERIOD_LB, run_scenarios
 from repro.units import DAY, HOUR
+
+from .conftest import bypass_solve_caches, disk_tier_off
 
 
 def _platform(dist):
@@ -51,16 +51,30 @@ class TestDeterminism:
             ), name
         assert serial.best_period == parallel.best_period
 
-    def test_batch_size_does_not_change_results(self):
+    def test_batch_size_does_not_change_results(self, monkeypatch):
         platform = _platform(Exponential.from_mtbf(12 * HOUR))
-        a = _run([Young()], platform, jobs=1, batch_size=1)
-        b = _run([Young()], platform, jobs=1, batch_size=4)
+        a = _run([Young()], platform, jobs=1)
+        # one trace per work unit instead of the cost-model split
+        monkeypatch.setattr(
+            ParallelRunner,
+            "_trace_batches",
+            lambda self, indices, per_trace_cost=1.0: [[i] for i in indices],
+        )
+        b = _run([Young()], platform, jobs=1)
+        assert b.scheduler["units"] > a.scheduler["units"]
         assert np.array_equal(a.makespans["Young"], b.makespans["Young"])
+        assert np.array_equal(a.makespans[PERIOD_LB], b.makespans[PERIOD_LB])
 
-    def test_no_cache_does_not_change_results(self):
+    def test_no_cache_does_not_change_results(self, monkeypatch):
+        from repro.core.cache import clear_cache
+
         platform = _platform(Weibull.from_mtbf(12 * HOUR, 0.7))
-        a = _run([DPMakespanPolicy(n_grid=48)], platform, jobs=1, use_cache=True)
-        b = _run([DPMakespanPolicy(n_grid=48)], platform, jobs=1, use_cache=False)
+        clear_cache()
+        a = _run([DPMakespanPolicy(n_grid=48)], platform, jobs=1)
+        with monkeypatch.context() as mp:
+            bypass_solve_caches(mp)
+            b = _run([DPMakespanPolicy(n_grid=48)], platform, jobs=1)
+        assert a.cache_hits >= 1 and b.cache_hits + b.cache_misses == 0
         assert np.array_equal(
             a.makespans["DPMakespan"], b.makespans["DPMakespan"], equal_nan=True
         )
@@ -148,18 +162,13 @@ class TestInfeasibleRecording:
 
 class TestExecutionConfig:
     def test_default_roundtrip(self):
-        original = get_default_execution()
+        original = resolve_jobs(None)
         try:
-            set_default_execution(jobs=3, use_cache=False)
-            cfg = get_default_execution()
-            assert cfg.jobs == 3 and cfg.use_cache is False
-            runner = ParallelRunner()
-            assert runner.jobs == 3 and runner.use_cache is False
+            set_default_execution(jobs=3)
+            assert resolve_jobs(None) == 3
+            assert ParallelRunner().jobs == 3
         finally:
-            set_default_execution(
-                jobs=original.jobs,
-                use_cache=original.use_cache,
-            )
+            set_default_execution(jobs=original)
 
     def test_resolve_jobs(self):
         import os
@@ -170,40 +179,18 @@ class TestExecutionConfig:
         assert resolve_jobs(-1) == (os.cpu_count() or 1)
 
     def test_explicit_args_override_default(self):
-        original = get_default_execution()
+        original = resolve_jobs(None)
         try:
-            set_default_execution(jobs=4, use_cache=False)
-            runner = ParallelRunner(jobs=1, use_cache=True)
-            assert runner.jobs == 1 and runner.use_cache is True
+            set_default_execution(jobs=4)
+            assert ParallelRunner(jobs=1).jobs == 1
         finally:
-            set_default_execution(
-                jobs=original.jobs,
-                use_cache=original.use_cache,
-            )
-
-    def test_config_dataclass_defaults(self):
-        cfg = ExecutionConfig()
-        assert cfg.jobs == 1 and cfg.use_cache is True and cfg.batch_size is None
-        assert cfg.use_memo is True and cfg.use_shm is True
-
-    def test_memo_shm_defaults_roundtrip(self):
-        original = get_default_execution()
-        try:
-            set_default_execution(use_memo=False, use_shm=False)
-            runner = ParallelRunner()
-            assert runner.use_memo is False and runner.use_shm is False
-            runner = ParallelRunner(use_memo=True, use_shm=True)
-            assert runner.use_memo is True and runner.use_shm is True
-        finally:
-            set_default_execution(
-                use_memo=original.use_memo,
-                use_shm=original.use_shm,
-            )
+            set_default_execution(jobs=original)
 
 
 class TestReplanMemo:
-    """Cross-trace replan memo: identical results with the memo on or
-    off, serial or parallel, and counters surfaced in the result."""
+    """Cross-trace replan memo: identical results to cold solves (the
+    ``bypass_solve_caches`` oracle), serial or parallel, and counters
+    surfaced in the result."""
 
     def _dp_run(self, **kw):
         from repro.core.cache import clear_cache, clear_replan_memo
@@ -224,16 +211,18 @@ class TestReplanMemo:
             [DPNextFailurePolicy(n_grid=24)], platform, **base
         )
 
-    def test_memo_on_off_identical_serial(self):
-        on = self._dp_run(jobs=1, use_memo=True)
-        off = self._dp_run(jobs=1, use_memo=False)
+    def test_memo_on_off_identical_serial(self, monkeypatch):
+        on = self._dp_run(jobs=1)
+        with monkeypatch.context() as mp:
+            bypass_solve_caches(mp)
+            off = self._dp_run(jobs=1)
         assert np.array_equal(
             on.makespans["DPNextFailure"], off.makespans["DPNextFailure"]
         )
 
     def test_memo_serial_parallel_identical_with_counters(self):
-        serial = self._dp_run(jobs=1, use_memo=True)
-        parallel = self._dp_run(jobs=2, use_memo=True)
+        serial = self._dp_run(jobs=1)
+        parallel = self._dp_run(jobs=2)
         assert np.array_equal(
             serial.makespans["DPNextFailure"],
             parallel.makespans["DPNextFailure"],
@@ -244,11 +233,15 @@ class TestReplanMemo:
         assert parallel.memo_misses >= 1
         assert parallel.memo_hits + parallel.memo_misses > 0
 
-    def test_memo_off_reports_zero_hits(self):
-        res = self._dp_run(jobs=1, use_memo=False)
-        assert res.memo_hits == 0
-        # disabled memo still counts solves as misses
-        assert res.memo_misses >= 1
+    def test_memo_off_reports_zero_hits(self, monkeypatch):
+        # the oracle really bypasses the memo (so comparisons against it
+        # are not vacuous), while production replans hit it
+        with monkeypatch.context() as mp:
+            bypass_solve_caches(mp)
+            off = self._dp_run(jobs=1)
+        assert off.memo_hits == 0 and off.memo_misses == 0
+        on = self._dp_run(jobs=1)
+        assert on.memo_hits >= 1
 
 
 class TestSharedMemory:
@@ -268,9 +261,21 @@ class TestSharedMemory:
         base.update(kw)
         return run_scenarios([Young(), OptExp()], platform, **base)
 
-    def test_shm_on_off_identical(self):
-        on = self._run_shm(jobs=2, use_shm=True)
-        off = self._run_shm(jobs=2, use_shm=False)
+    def test_shm_on_off_identical(self, monkeypatch):
+        import repro.simulation.shm as shm_mod
+
+        on = self._run_shm(jobs=2)
+        attempts = []
+
+        def failing_publish(*args, **kw):
+            attempts.append(1)
+            raise OSError("no shared memory here")
+
+        # the "off" arm: publication fails, workers regenerate traces
+        with monkeypatch.context() as mp:
+            mp.setattr(shm_mod, "publish_scenario", failing_publish)
+            off = self._run_shm(jobs=2)
+        assert attempts
         serial = self._run_shm(jobs=1)
         for name in serial.makespans:
             assert np.array_equal(on.makespans[name], serial.makespans[name]), name
@@ -283,7 +288,7 @@ class TestSharedMemory:
             raise OSError("no shared memory here")
 
         monkeypatch.setattr(shm_mod, "publish_scenario", boom)
-        res = self._run_shm(jobs=2, use_shm=True)
+        res = self._run_shm(jobs=2)
         serial = self._run_shm(jobs=1)
         for name in serial.makespans:
             assert np.array_equal(res.makespans[name], serial.makespans[name]), name
@@ -298,7 +303,7 @@ class TestSharedMemory:
             raise OSError("attach refused")
 
         monkeypatch.setattr(shm_mod, "attach_scenario", boom)
-        res = self._run_shm(jobs=2, use_shm=True)
+        res = self._run_shm(jobs=2)
         serial = self._run_shm(jobs=1)
         for name in serial.makespans:
             assert np.array_equal(res.makespans[name], serial.makespans[name]), name
@@ -427,9 +432,11 @@ class TestDiskCacheTier:
         )
         assert warm.disk_hits >= 1
 
-    def test_disk_tier_off_bit_identical_and_uncounted(self):
-        on = self._dp_run(jobs=1, use_disk_cache=True)
-        off = self._dp_run(jobs=1, use_disk_cache=False)
+    def test_disk_tier_off_bit_identical_and_uncounted(self, monkeypatch):
+        on = self._dp_run(jobs=1)
+        with monkeypatch.context() as mp:
+            disk_tier_off(mp)
+            off = self._dp_run(jobs=1)
         assert np.array_equal(
             on.makespans["DPNextFailure"], off.makespans["DPNextFailure"]
         )
@@ -442,14 +449,16 @@ class TestDiskCacheTier:
         assert res.memo_unique_misses == res.memo_misses
         assert res.disk_evictions == 0
 
-    def test_parallel_unique_misses_not_above_summed(self):
-        res = self._dp_run(jobs=2, use_disk_cache=False)
+    def test_parallel_unique_misses_not_above_summed(self, monkeypatch):
+        disk_tier_off(monkeypatch)
+        res = self._dp_run(jobs=2)
         assert 1 <= res.memo_unique_misses <= res.memo_misses
 
-    def test_memo_delta_merge_warms_parent(self):
+    def test_memo_delta_merge_warms_parent(self, monkeypatch):
         """Workers ship their memo entries back at unit exit, so a
         later run in the same process forks warm and mostly hits."""
-        first = self._dp_run(jobs=2, use_disk_cache=False)
+        disk_tier_off(monkeypatch)
+        first = self._dp_run(jobs=2)
         assert first.memo_misses >= 1
 
         from repro.core.cache import clear_cache
@@ -465,7 +474,6 @@ class TestDiskCacheTier:
             include_lower_bound=False,
             include_period_lb=False,
             jobs=2,
-            use_disk_cache=False,
         )
         assert np.array_equal(
             first.makespans["DPNextFailure"],

@@ -432,37 +432,6 @@ class TestBatchQueue:
         finally:
             q.shutdown()
 
-    def test_no_sweep_plan_batch_still_bit_identical(self, store,
-                                                     tmp_path):
-        from repro.service.serialize import comparable_result_payload
-
-        specs = self._grid()
-        q = JobQueue(store=store, workers=1)
-        try:
-            batch = q.submit_batch(specs, use_sweep_plan=False)
-            assert batch.plan["use_sweep_plan"] is False
-            assert q.wait_batch(batch.batch_id, timeout=120)
-            a = [json.dumps(comparable_result_payload(q.result(j)),
-                            sort_keys=True) for j in batch.job_ids]
-        finally:
-            q.shutdown()
-        planned = JobQueue(
-            store=ResultStore(tmp_path / "planned-store"), workers=1
-        )
-        try:
-            other = planned.submit_batch(specs)
-            assert planned.wait_batch(other.batch_id, timeout=120)
-            b = [json.dumps(comparable_result_payload(planned.result(j)),
-                            sort_keys=True) for j in other.job_ids]
-        finally:
-            planned.shutdown()
-        assert a == b
-
-
-# ----------------------------------------------------------------------
-# daemon end-to-end (HTTP over an ephemeral port)
-# ----------------------------------------------------------------------
-
 
 class TestDaemonEndToEnd:
     @pytest.fixture
@@ -521,6 +490,26 @@ class TestDaemonEndToEnd:
         assert env["ok"] is False
         assert env["exit_code"] == 2
         assert env["error"]["type"] == "SpecError"
+
+    @pytest.mark.parametrize(
+        "key", ["use_cache", "use_batch", "use_memo", "use_shm",
+                "use_disk_cache"],
+    )
+    def test_removed_execution_keys_are_http_400(self, client, key):
+        # jobs is the only per-job execution option; a process-wide
+        # switch carried per job would race between concurrent jobs
+        for path, body in (
+            ("/v1/jobs", {"spec": dict(TINY)}),
+            ("/v1/batches", {"specs": [dict(TINY)]}),
+        ):
+            env = client.request(
+                "POST", path, {**body, "execution": {key: False}}
+            )
+            assert env["ok"] is False
+            assert env["exit_code"] == 2
+            # ValueError is the daemon's 400 class (500 is anything else)
+            assert env["error"]["type"] == "ValueError"
+            assert key in env["error"]["message"]
 
     def test_unknown_job_is_http_404(self, client):
         env = client.status("job-999999")

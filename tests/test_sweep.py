@@ -3,8 +3,8 @@
 The acceptance property of the PR-10 sweep engine lives here: a grid
 executed through :func:`run_sweep`'s shared-trace plan is **bit
 identical** (comparable result payload under canonical JSON) to running
-every point as an independent scenario — across the shm / memo /
-disk-cache execution knobs and across worker counts.
+every point as an independent scenario (``spec.run()`` per point) —
+against the reference oracles and across worker counts.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ from repro.service.serialize import (
 )
 from repro.service.spec import ScenarioSpec, SpecError, expand_grid
 from repro.simulation.sweep import plan_sweep, run_sweep, trace_signature
+
+from .conftest import bypass_solve_caches, disk_tier_off, scalar_replay
 
 TINY = dict(work=7200.0, mtbf=14400.0, n_traces=2,
             policies=("young", "dalylow"))
@@ -144,31 +146,36 @@ def _grid_12():
 
 class TestRunSweepIdentity:
     @pytest.mark.parametrize(
-        "knobs",
+        "oracles",
         [
-            {},  # process-wide defaults
-            {"use_memo": False, "use_disk_cache": False},
-            {"use_batch": False, "use_cache": False},
+            (),  # independent production runs
+            (bypass_solve_caches, disk_tier_off),
+            (scalar_replay, bypass_solve_caches),
         ],
         ids=["defaults", "no-memo-no-disk", "no-batch-no-l1"],
     )
-    def test_12_point_grid_bit_identical_to_independent_runs(self, knobs):
+    def test_12_point_grid_bit_identical_to_independent_runs(
+        self, oracles, monkeypatch
+    ):
         specs = _grid_12()
-        reference = run_sweep(specs, jobs=1, use_sweep_plan=False, **knobs)
-        sweep = run_sweep(specs, jobs=1, use_sweep_plan=True, **knobs)
-        assert reference.sweep_planned is False
-        assert sweep.sweep_planned is True
+        # reference: every point run alone, under the given oracles
+        with monkeypatch.context() as mp:
+            for oracle in oracles:
+                oracle(mp)
+            reference = [spec.run(jobs=1) for spec in specs]
+        sweep = run_sweep(specs, jobs=1)
         assert [_payload_json(r) for r in sweep.results] == \
-            [_payload_json(r) for r in reference.results]
+            [_payload_json(r) for r in reference]
 
     @pytest.mark.slow
     def test_parallel_sweep_bit_identical_with_shm(self):
         specs = _grid_12()
-        reference = run_sweep(specs, jobs=1, use_sweep_plan=False)
-        sweep = run_sweep(specs, jobs=2, use_shm=True, use_sweep_plan=True)
+        reference = [spec.run(jobs=1) for spec in specs]
+        sweep = run_sweep(specs, jobs=2)
         assert sweep.n_jobs == 2
+        assert all(stats["shm"] for stats in sweep.group_stats)
         assert [_payload_json(r) for r in sweep.results] == \
-            [_payload_json(r) for r in reference.results]
+            [_payload_json(r) for r in reference]
 
 
 class TestRunSweepReporting:
@@ -186,9 +193,7 @@ class TestRunSweepReporting:
         assert sweep.group_stats[1]["prefetched"] is True
 
     def test_reference_path_reuses_nothing(self):
-        sweep = run_sweep(_grid_12()[:2], jobs=1, use_sweep_plan=False)
-        assert sweep.group_stats == []
-        for result in sweep.results:
+        for result in [spec.run(jobs=1) for spec in _grid_12()[:2]]:
             assert result.trace_gen_reused is False
             assert result.ensemble_reused is False
 
@@ -253,28 +258,26 @@ class TestCliSweep:
             "n_points": 4, "n_groups": 2, "group_sizes": [2, 2],
             "shared_trace_gens_saved": 2,
         }
-        assert data["sweep_planned"] is True
         assert len(data["points"]) == 4
         assert data["points"][0]["spec"]["checkpoint"] == 300.0
         assert data["points"][0]["result"]["format"] == "repro.result/1"
         assert data["counters"]["scenarios"] == 4
         assert len(data["group_stats"]) == 2
 
-    def test_no_sweep_plan_escape_hatch_is_identical(self, capsys,
-                                                     tmp_path, monkeypatch):
+    def test_sweep_points_identical_to_run(self, capsys, tmp_path,
+                                           monkeypatch):
+        from repro.cli import main
+
         monkeypatch.chdir(tmp_path)
-        grid = ["--grid", "checkpoint=5m,10m"]
-        _, planned = self._run(capsys, grid)
-        rc, unplanned = self._run(capsys, [*grid, "--no-sweep-plan"])
+        rc, planned = self._run(capsys, ["--grid", "checkpoint=5m,10m"])
         assert rc == 0
-        assert unplanned["data"]["sweep_planned"] is False
-        assert unplanned["data"]["group_stats"] == []
-        keep = lambda env: [  # noqa: E731
-            json.dumps(comparable_result_payload(p["result"]),
-                       sort_keys=True)
-            for p in env["data"]["points"]
-        ]
-        assert keep(planned) == keep(unplanned)
+        keep = lambda doc: json.dumps(  # noqa: E731
+            comparable_result_payload(doc), sort_keys=True
+        )
+        for point, checkpoint in zip(planned["data"]["points"], ("5m", "10m")):
+            assert main(["run", *self._ARGS[1:], "--checkpoint", checkpoint]) == 0
+            alone = json.loads(capsys.readouterr().out)["data"]["result"]
+            assert keep(point["result"]) == keep(alone)
 
     def test_bad_grid_key_is_spec_error(self, capsys, tmp_path,
                                         monkeypatch):
