@@ -71,12 +71,18 @@ bench-sweep:
 	$(PYTHON) benchmarks/bench_sweep.py --smoke
 
 # End-to-end golden gate: one table4_cold pass of perfbench (~30 s),
-# every (policy, trace) checked against perfbench/goldens/.  run.py
-# exits 0 even on a golden mismatch, so its last stdout line (the JSON
-# result) is checked here; no output at all fails too.
+# which solves every replan and writes the disk tier, then one
+# table4_warm pass, which replays the goldens through disk-tier loads
+# (the replan codec's read side); every (policy, trace) is checked
+# against perfbench/goldens/.  run.py exits 0 even on a golden
+# mismatch, so its last stdout line (the JSON result) is checked here;
+# no output at all fails too.
 perfbench-check:
-	$(PYTHON) perfbench/run.py --workload table4_cold --seconds 1 --trace 0 \
-		| $(PYTHON) -c 'import json, sys; lines = sys.stdin.read().splitlines(); print(*lines, sep="\n"); doc = json.loads(lines[-1]) if lines else {}; sys.exit(0 if doc.get("correct") is True and doc.get("failed") == 0 else "perfbench-check: goldens not matched")'
+	for workload in table4_cold table4_warm; do \
+		$(PYTHON) perfbench/run.py --workload $$workload --seconds 1 --trace 0 \
+			| $(PYTHON) -c 'import json, sys; lines = sys.stdin.read().splitlines(); print(*lines, sep="\n"); doc = json.loads(lines[-1]) if lines else {}; sys.exit(0 if doc.get("correct") is True and doc.get("failed") == 0 else "perfbench-check: goldens not matched")' \
+			|| exit 1; \
+	done
 
 # Scenario-service acceptance check: boots a real daemon on an
 # ephemeral port, drives it through the CLI, asserts daemon results are

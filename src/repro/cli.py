@@ -35,6 +35,8 @@ Scenario-running subcommands take ``--jobs N`` (fan scenario work out
 over ``N`` worker processes; 0 = one per CPU; results are bit-identical
 to ``--jobs 1``) and ``--no-disk-cache`` (keep every solve in-process,
 e.g. on a read-only filesystem) — see ``docs/performance.md``.
+``simulate`` replays its traces serially and takes only
+``--no-disk-cache``.
 """
 
 from __future__ import annotations
@@ -904,11 +906,14 @@ def cmd_store(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 
 
-def _add_execution_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--jobs", "-j", type=int, default=None, metavar="N",
-                   help="worker processes for scenario execution "
-                        "(default 1 = serial; 0 = one per CPU; results "
-                        "are bit-identical for any N)")
+def _add_execution_args(p: argparse.ArgumentParser, jobs: bool = True) -> None:
+    """``--no-disk-cache``, plus ``--jobs`` where the command fans work
+    out (``jobs=False`` for the serial ``simulate`` loop)."""
+    if jobs:
+        p.add_argument("--jobs", "-j", type=int, default=None, metavar="N",
+                       help="worker processes for scenario execution "
+                            "(default 1 = serial; 0 = one per CPU; results "
+                            "are bit-identical for any N)")
     p.add_argument("--no-disk-cache", action="store_true",
                    help="bypass the persistent disk solve tier under "
                         ".repro-service/solvecache/ (bit-identical "
@@ -1033,7 +1038,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--lower-bound", action="store_true",
                        help="also report the omniscient lower bound")
-    _add_execution_args(p_sim)
+    _add_execution_args(p_sim, jobs=False)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_exp = sub.add_parser("experiment", help="run a paper table/figure")

@@ -264,7 +264,7 @@ def cached_dp_makespan(
 
 
 def cached_dp_next_failure_parallel(
-    work: float, checkpoint: float, state, u: float, vectorized: bool = True
+    work: float, checkpoint: float, state, u: float
 ):
     """Memoized :func:`repro.core.dp_nextfailure.dp_next_failure_parallel`.
 
@@ -272,10 +272,6 @@ def cached_dp_next_failure_parallel(
     weight vectors, so two states hit only when they are numerically
     identical — e.g. the fresh-platform plan every trace of a ``t0 = 0``
     scenario starts from, or repeated sweeps over the same ages.
-
-    ``vectorized`` selects the kernel path on a miss; it is *not* part
-    of the key because both paths produce bit-identical results (A/B
-    benchmarks clear the caches between arms instead).
     """
     from repro.core.dp_nextfailure import dp_next_failure_parallel
 
@@ -289,10 +285,7 @@ def cached_dp_next_failure_parallel(
         state.weights.tobytes(),
     )
     return _CACHE.get_or_compute(
-        key,
-        lambda: dp_next_failure_parallel(
-            work, checkpoint, state, u, vectorized=vectorized
-        ),
+        key, lambda: dp_next_failure_parallel(work, checkpoint, state, u)
     )
 
 
@@ -300,9 +293,10 @@ def cached_dp_next_failure_parallel(
 # cross-trace replan memo
 # ----------------------------------------------------------------------
 
-# Whole-replan results are tiny (a chunk array + scalars) while the hit
-# rate compounds across traces, so the memo can afford a deeper LRU than
-# the table cache.
+# A replan result is small — at most ``n_grid`` chunk sizes and two
+# floats; the DP's choice table is not kept — while the hit rate
+# compounds across traces, so the memo can afford a deeper LRU than the
+# table cache.
 _REPLAN_MEMO = DPTableCache(maxsize=4096)
 
 

@@ -693,7 +693,6 @@ def load_replan(key: tuple):
             chunks=arrays["chunks"],
             expected_work=float(arrays["expected_work"]),
             u=float(arrays["u"]),
-            _choice=arrays.get("choice"),
         )
     except KeyError:
         return None
@@ -706,6 +705,4 @@ def store_replan(key: tuple, result) -> bool:
         "expected_work": np.float64(result.expected_work),
         "u": np.float64(result.u),
     }
-    if result._choice is not None:
-        arrays["choice"] = result._choice
     return _DISK.store("replan", key, arrays)

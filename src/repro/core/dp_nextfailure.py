@@ -15,11 +15,15 @@ already completed — because the elapsed time at a state is the function
 The same DP solves the sequential case (one age ``tau``) and the parallel
 case (full platform state), because both reduce to a single collapsed
 log-survival advance table (:class:`repro.core.state.SurvivalTable`).
+
+A result is only the schedule and its value: the DP's choice table is a
+local of :func:`_solve`, dropped once the schedule is rebuilt, so a
+memoized or persisted replan costs its chunk array and two floats.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,9 +57,6 @@ class DPNextFailureResult:
     chunks: np.ndarray
     expected_work: float
     u: float
-    # None when the result was built without a DP table (tests construct
-    # bare results); _solve always attaches the choice table.
-    _choice: np.ndarray | None = field(repr=False, default=None)
 
     @property
     def first_chunk(self) -> float:
@@ -69,7 +70,8 @@ def _solve(
 
     Vectorized over both the chunk choice ``i`` and the chunk count ``n``
     for each remaining-work level ``x``; the survival lattice makes every
-    probability exact regardless of how ``C`` relates to ``u``.
+    probability exact regardless of how ``C`` relates to ``u``.  Every
+    operand is a slice (a view) of the lattice or of the value table.
 
     ``n_cap`` bounds the chunk-count dimension: states beyond it carry
     (essentially) zero survival probability, so their continuation value
@@ -77,21 +79,22 @@ def _solve(
     """
     # value[x, n] = optimal E[W] (seconds of work) from state (x, n);
     # only entries with n <= min(x0 - x, n_cap) are meaningful; the
-    # column n_cap stays 0 (negligible-survival cutoff).
+    # column n_cap stays 0 (negligible-survival cutoff).  choice[x, n]
+    # is the best chunk in quanta; it only serves the schedule rebuild.
     value = np.zeros((x0 + 1, n_cap + 1))
     choice = np.zeros((x0 + 1, n_cap + 1), dtype=np.int64)
     m2 = table.m2
+    work = np.arange(1, x0 + 1) * u  # work[i - 1] = i quanta
     for x in range(1, x0 + 1):
         a = x0 - x
-        ivec = np.arange(1, x + 1)
-        nvec = np.arange(0, min(x0 - x, n_cap - 1) + 1)
-        # logp[n, i] = m2[a+i, n+1] - m2[a, n]
-        logp = m2[a + ivec][:, nvec + 1].T - m2[a, nvec][:, None]
-        succ = value[x - ivec][:, nvec + 1].T  # (n, i)
-        vals = np.exp(logp) * (ivec[None, :] * u + succ)
+        nn = min(a, n_cap - 1) + 1  # chunk counts n = 0..nn-1
+        # logp[n, i-1] = m2[a+i, n+1] - m2[a, n]
+        logp = m2[a + 1 : a + x + 1, 1 : nn + 1].T - m2[a, :nn][:, None]
+        succ = value[x - 1 :: -1, 1 : nn + 1].T  # value[x-i, n+1]
+        vals = np.exp(logp) * (work[:x] + succ)
         best = np.argmax(vals, axis=1)
-        value[x, nvec] = vals[nvec, best]
-        choice[x, nvec] = best + 1
+        value[x, :nn] = vals[np.arange(nn), best]
+        choice[x, :nn] = best + 1
     # Reconstruct the schedule along the all-success path from (x0, 0).
     chunks = []
     x, n = x0, 0
@@ -106,10 +109,7 @@ def _solve(
         x -= i
         n += 1
     return DPNextFailureResult(
-        chunks=np.asarray(chunks),
-        expected_work=float(value[x0, 0]),
-        u=u,
-        _choice=choice,
+        chunks=np.asarray(chunks), expected_work=float(value[x0, 0]), u=u
     )
 
 
@@ -119,7 +119,6 @@ def dp_next_failure(
     dist: FailureDistribution,
     u: float,
     tau: float = 0.0,
-    vectorized: bool = True,
 ) -> DPNextFailureResult:
     """Sequential DPNextFailure (Algorithm 2).
 
@@ -135,12 +134,9 @@ def dp_next_failure(
         Time quantum; ``work`` and ``checkpoint`` are rounded to the grid.
     tau:
         Time since the processor's last failure.
-    vectorized:
-        Build the survival lattice with the batched kernel (True) or the
-        scalar reference path (False); results are bit-identical.
     """
     state = PlatformState([tau], dist)
-    return dp_next_failure_parallel(work, checkpoint, state, u, vectorized=vectorized)
+    return dp_next_failure_parallel(work, checkpoint, state, u)
 
 
 def _chunk_cap(
@@ -148,7 +144,6 @@ def _chunk_cap(
     checkpoint: float,
     x0: int,
     log_cutoff: float = -14.0,
-    vectorized: bool = True,
 ) -> int:
     """Largest useful chunk-count index: once ``n`` checkpoints alone
     push the platform's log-survival below ``log_cutoff`` (~1e-6), the
@@ -157,24 +152,21 @@ def _chunk_cap(
     to the failure horizon instead of the work grid.
 
     The probe doubles ``n`` until it reaches ``x0`` or crosses the
-    cutoff.  ``vectorized=True`` evaluates every doubling candidate in
-    one batched ``log_psuc`` call and picks the first stopping point;
-    ``vectorized=False`` is the original scalar call per step.  Both
-    return the same ``n`` (same candidates, same comparisons).
+    cutoff; every doubling candidate is evaluated in one batched
+    ``log_psuc`` call and the first stopping point is picked.
+
+    The cap binds only when checkpoints are long next to the platform
+    MTBF: at ``--scale smoke`` it binds on 1,871 of the 6,972 DP solves
+    of ``repro experiment fig7`` and on none of Tables 2-4 or Figures
+    1-6.
     """
-    if vectorized:
-        cands = [1]
-        while cands[-1] < x0:
-            cands.append(cands[-1] * 2)
-        logp = state.log_psuc(np.asarray(cands, dtype=float) * checkpoint)
-        # loop-exit condition of the scalar probe: first candidate with
-        # n >= x0 or log-survival at/below the cutoff
-        stop = (np.asarray(cands) >= x0) | (logp <= log_cutoff)
-        n = cands[int(np.argmax(stop))]
-    else:
-        n = 1
-        while n < x0 and float(state.log_psuc(n * checkpoint)) > log_cutoff:
-            n *= 2
+    cands = [1]
+    while cands[-1] < x0:
+        cands.append(cands[-1] * 2)
+    logp = state.log_psuc(np.asarray(cands, dtype=float) * checkpoint)
+    # first candidate with n >= x0 or log-survival at/below the cutoff
+    stop = (np.asarray(cands) >= x0) | (logp <= log_cutoff)
+    n = cands[int(np.argmax(stop))]
     return min(x0, n) + 1
 
 
@@ -183,25 +175,19 @@ def dp_next_failure_parallel(
     checkpoint: float,
     state: PlatformState,
     u: float,
-    vectorized: bool = True,
 ) -> DPNextFailureResult:
     """Parallel DPNextFailure: same DP, platform survival state.
 
     ``state`` may be exact or compressed (see
     :meth:`repro.core.state.PlatformState.compress`); either way the DP
     cost is independent of the number of processors thanks to the
-    collapsed advance table.  ``vectorized=False`` routes the survival
-    lattice and the chunk-count probe through their scalar reference
-    paths (bit-identical results; the slow side of
-    ``benchmarks/bench_dp_pipeline.py``).
+    collapsed advance table.
     """
     if u <= 0:
         raise ValueError("quantum u must be positive")
     x0 = max(1, int(round(work / u)))
-    n_cap = _chunk_cap(state, checkpoint, x0, vectorized=vectorized)
-    table = SurvivalTable.build(
-        state, u, checkpoint, na=x0, nb=n_cap + 1, vectorized=vectorized
-    )
+    n_cap = _chunk_cap(state, checkpoint, x0)
+    table = SurvivalTable.build(state, u, checkpoint, na=x0, nb=n_cap + 1)
     return _solve(table, x0, u, n_cap)
 
 
@@ -209,37 +195,25 @@ def expected_work_of_schedule(
     chunks,
     checkpoint: float,
     state: PlatformState,
-    vectorized: bool = True,
 ) -> float:
     """Evaluate Proposition 3's closed form for an arbitrary schedule:
 
         E[W] = sum_i omega_i prod_{j<=i} Psuc(omega_j + C | t_j)
 
     Used by tests to check DP optimality against brute force, and by the
-    truncation ablation (where it runs once per candidate schedule — a
-    real win from batching).
+    truncation ablation (where it runs once per candidate schedule).
 
-    The vectorized path telescopes the per-chunk products: the
-    cumulative success log-probability after chunk ``i`` is
-    ``log Psuc(t_{i+1})`` with ``t_{i+1}`` the cumulative sum of
-    ``omega_j + C``, so one batched ``log_psuc`` call over all chunk
-    boundaries replaces the per-chunk Python loop.  Telescoping
-    reassociates the floating-point accumulation, so the two paths agree
-    to rounding (~1e-15 relative), not bit-for-bit; ``vectorized=False``
-    keeps the incremental reference loop.
+    The per-chunk products telescope: the cumulative success
+    log-probability after chunk ``i`` is ``log Psuc(t_{i+1})`` with
+    ``t_{i+1}`` the cumulative sum of ``omega_j + C``, so one batched
+    ``log_psuc`` call over all chunk boundaries evaluates the schedule.
+    Telescoping reassociates the floating-point accumulation, so this
+    agrees with the incremental per-chunk product to rounding (~1e-15
+    relative), not bit-for-bit.
     """
     chunks = np.asarray(chunks, dtype=float)
     if chunks.size == 0:
         return 0.0
-    if vectorized:
-        bounds = np.cumsum(chunks + checkpoint)
-        log_prob = state.log_psuc(bounds)
-        return float(np.sum(chunks * np.exp(log_prob)))
-    total = 0.0
-    log_prob = 0.0
-    elapsed = 0.0
-    for w in chunks:
-        log_prob += float(state.log_psuc(w + checkpoint, advance=elapsed))
-        elapsed += w + checkpoint
-        total += w * np.exp(log_prob)
-    return float(total)
+    bounds = np.cumsum(chunks + checkpoint)
+    log_prob = state.log_psuc(bounds)
+    return float(np.sum(chunks * np.exp(log_prob)))

@@ -16,7 +16,8 @@ Two observations make this tractable (Section 3.3 of the paper):
        M(s) = sum_i log S(tau_i + s),
 
    giving ``log Psuc(delta | advance s) = M(s + delta) - M(s)``.
-   :class:`SurvivalTable` precomputes ``M`` on the DP's quantum grid.
+   :class:`SurvivalTable` precomputes ``M`` on the DP's quantum grid,
+   only at the advances a DP state can reach (about half the grid).
 
 2. The paper additionally compresses the age vector itself: keep the
    ``nexact`` smallest ages exactly and map the remaining ages onto
@@ -168,6 +169,12 @@ class SurvivalTable:
     exactly — no rounding of the checkpoint duration to the quantum grid.
     Then ``log Psuc`` of executing ``i`` more quanta plus one checkpoint
     from state ``(a, b)`` is ``m2[a+i, b+1] - m2[a, b]``.
+
+    Every chunk holds at least one quantum, so a reachable state has
+    ``b <= a``, and so does the cell ``(a+i, b+1)`` a lookup from it
+    reads: only the cells with ``b <= a`` (about half the lattice) are
+    tabulated.  The others hold NaN, so a stray read poisons the result
+    instead of passing silently.
     """
 
     m2: np.ndarray
@@ -176,48 +183,30 @@ class SurvivalTable:
 
     @classmethod
     def build(
-        cls,
-        state: PlatformState,
-        u: float,
-        c: float,
-        na: int,
-        nb: int,
-        vectorized: bool = True,
+        cls, state: PlatformState, u: float, c: float, na: int, nb: int
     ) -> "SurvivalTable":
-        """Tabulate the lattice for ``a = 0..na`` and ``b = 0..nb``.
+        """Tabulate the reachable cells of ``a = 0..na``, ``b = 0..nb``.
 
-        ``vectorized=True`` makes **one** batched
+        One batched
         :meth:`~repro.distributions.base.FailureDistribution.log_survival`
-        kernel call over the whole ``(p, na+1, nb+1)`` advance grid and
-        collapses it with an ``einsum``; ``vectorized=False`` is the
-        ``O(grid x p)`` scalar-``logsf``-per-point reference.  The two
-        paths are bit-identical: per-element ufunc evaluation matches
-        the scalar call, and the ``"i,iab->ab"`` einsum accumulates each
-        lattice cell in the same order as the reference Python loop.
+        kernel call covers the ``(p, cells)`` advance grid and one
+        ``einsum`` collapses it over the processor weights.  Each cell
+        carries the same bits as the scalar reference sum
+        ``sum_i w_i logsf(tau_i + a*u + b*c)`` accumulated in processor
+        order (the test oracle in ``tests/nextfailure_oracle.py``).
         """
         if u <= 0 or na < 0 or nb < 0:
             raise ValueError("need positive quantum and non-negative sizes")
-        grid = (
-            np.arange(na + 1, dtype=float)[:, None] * u
-            + np.arange(nb + 1, dtype=float)[None, :] * c
-        )
-        if vectorized:
-            logsf = state.dist.log_survival(
-                state.taus[:, None, None] + grid[None, :, :]
-            )
-            m2 = np.einsum("i,iab->ab", state.weights, logsf)
-        else:
-            taus, weights, dist = state.taus, state.weights, state.dist
-            m2 = np.empty_like(grid)
-            for a in range(na + 1):
-                for b in range(nb + 1):
-                    acc = 0.0
-                    for i in range(taus.size):
-                        acc += weights[i] * float(dist.logsf(taus[i] + grid[a, b]))
-                    m2[a, b] = acc
+        rows = np.arange(na + 1, dtype=float)[:, None]
+        cols = np.arange(nb + 1, dtype=float)[None, :]
+        reachable = cols <= rows
+        grid = (rows * u + cols * c)[reachable]
+        logsf = state.dist.log_survival(state.taus[:, None] + grid[None, :])
+        m2 = np.full((na + 1, nb + 1), np.nan)
+        m2[reachable] = np.einsum("i,ij->j", state.weights, logsf)
         # Floor at exp(-700) ~ 1e-304 so that differences of two
         # "impossible" entries stay finite (0 probability) instead of
-        # producing inf - inf = nan in the DP.
+        # producing inf - inf = nan in the DP.  NaN cells stay NaN.
         return cls(m2=np.maximum(m2, -700.0), u=float(u), c=float(c))
 
     def log_psuc(self, a, b, i):

@@ -63,9 +63,6 @@ class DPNextFailurePolicy(Policy):
         solve — across traces, sweeps and runner workers — reuse the
         bit-identical result; ``0`` disables snapping (and with it most
         cross-trace memo collisions).
-    vectorized:
-        Build survival lattices with the batched kernels (True) or the
-        scalar reference path (False); results are bit-identical.
     """
 
     name = "DPNextFailure"
@@ -79,7 +76,6 @@ class DPNextFailurePolicy(Policy):
         use_fraction: float = 0.5,
         compress: bool = True,
         memo_quant: float = 1.0,
-        vectorized: bool = True,
     ):
         if n_grid < 2:
             raise ValueError("n_grid must be >= 2")
@@ -92,7 +88,6 @@ class DPNextFailurePolicy(Policy):
         self.use_fraction = use_fraction
         self.compress = compress
         self.memo_quant = memo_quant
-        self.vectorized = vectorized
         self._queue: deque[float] = deque()
 
     def setup(self, ctx: "JobContext") -> None:
@@ -131,7 +126,7 @@ class DPNextFailurePolicy(Policy):
             if self.compress:
                 state = state.compress(self.nexact, self.napprox)
             return cached_dp_next_failure_parallel(
-                horizon, ctx.checkpoint, state, u, vectorized=self.vectorized
+                horizon, ctx.checkpoint, state, u
             )
 
         result = cached_replan(

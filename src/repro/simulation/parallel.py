@@ -233,7 +233,6 @@ def _task_traces(scenario: _Scenario, indices: list[int]):
     layout = scenario.layout
     if layout is not None:
         try:
-            # this module publishes every scenario with its ensemble
             with _shm.attach_scenario(layout) as attached:
                 return (
                     [attached.job_traces(i) for i in indices],

@@ -98,7 +98,6 @@ class ScenarioLayout:
     horizon: float
     recovery: float
     t0: float
-    has_ensemble: bool
 
 
 class ScenarioPublication:
@@ -125,15 +124,15 @@ class ScenarioPublication:
 
 def publish_scenario(
     traces: Sequence[JobTraces],
-    ensemble: TraceEnsemble | None,
+    ensemble: TraceEnsemble,
     n_units: int,
     downtime: float,
     horizon: float,
     recovery: float,
     t0: float,
 ) -> ScenarioPublication:
-    """Copy a scenario's trace set (and optional compiled ensemble) into
-    one shared-memory segment; returns the owning handle."""
+    """Copy a scenario's trace set and its compiled ensemble into one
+    shared-memory segment; returns the owning handle."""
     if not traces:
         raise ValueError("cannot publish an empty trace set")
     arrays: dict[str, np.ndarray] = {}
@@ -147,11 +146,10 @@ def publish_scenario(
     arrays["units"] = np.concatenate(
         [np.asarray(tr.units, dtype=np.int64) for tr in traces]
     )
-    if ensemble is not None:
-        arrays["t_start"] = np.ascontiguousarray(ensemble.t_start, dtype=float)
-        arrays["fail"] = np.ascontiguousarray(ensemble.fail, dtype=float)
-        arrays["resume"] = np.ascontiguousarray(ensemble.resume, dtype=float)
-        arrays["cumfail"] = np.ascontiguousarray(ensemble.cumfail, dtype=np.int64)
+    arrays["t_start"] = np.ascontiguousarray(ensemble.t_start, dtype=float)
+    arrays["fail"] = np.ascontiguousarray(ensemble.fail, dtype=float)
+    arrays["resume"] = np.ascontiguousarray(ensemble.resume, dtype=float)
+    arrays["cumfail"] = np.ascontiguousarray(ensemble.cumfail, dtype=np.int64)
 
     total = sum(arr.nbytes for arr in arrays.values())
     shm = shared_memory.SharedMemory(create=True, size=max(total, 1))
@@ -176,7 +174,6 @@ def publish_scenario(
             horizon=float(horizon),
             recovery=float(recovery),
             t0=float(t0),
-            has_ensemble=ensemble is not None,
         )
         return ScenarioPublication(shm, layout)
     except Exception:
@@ -261,11 +258,8 @@ class AttachedScenario:
             horizon=layout.horizon,
         )
 
-    def ensemble_rows(self, indices: Sequence[int]) -> TraceEnsemble | None:
-        """Row-subset of the published ensemble (copies the rows), or
-        None when the publication carried no ensemble."""
-        if not self.layout.has_ensemble:
-            return None
+    def ensemble_rows(self, indices: Sequence[int]) -> TraceEnsemble:
+        """Row-subset of the published ensemble (copies the rows)."""
         rows = np.asarray(indices, dtype=np.int64)
         return TraceEnsemble.from_arrays(
             t_start=self._arrays["t_start"][rows],

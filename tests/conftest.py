@@ -94,10 +94,13 @@ def dist_id(dist):
 def bypass_solve_caches(mp):
     """Cold solves for every DP policy: DPNextFailure replans and
     DPMakespan / DPNextFailure tables go straight to the solvers — no
-    table cache, no replan memo, no disk tier."""
+    table cache, no replan memo, no disk tier.  DPNextFailure tables
+    come from the reference kernel (:mod:`tests.nextfailure_oracle`:
+    full scalar lattice, fancy-index DP), not the production one."""
     import repro.policies.dp as dp_policies
     from repro.core.dp_makespan import dp_makespan
-    from repro.core.dp_nextfailure import dp_next_failure_parallel
+
+    from . import nextfailure_oracle
 
     # cached_replan(work, C, dist, ages, u, nexact, napprox, compress, solve)
     mp.setattr(dp_policies, "cached_replan", lambda *args: args[-1]())
@@ -107,11 +110,7 @@ def bypass_solve_caches(mp):
     mp.setattr(
         dp_policies,
         "cached_dp_next_failure_parallel",
-        lambda work, checkpoint, state, u, vectorized=True: (
-            dp_next_failure_parallel(
-                work, checkpoint, state, u, vectorized=vectorized
-            )
-        ),
+        nextfailure_oracle.dp_next_failure_parallel,
     )
 
 

@@ -109,6 +109,17 @@ class TestEndToEnd:
         with pytest.raises(SystemExit):
             main(["simulate", "--policy", "nope"])
 
+    @pytest.mark.parametrize("flag", ["-j", "--jobs"])
+    def test_simulate_rejects_jobs(self, flag, capsys):
+        """``simulate`` runs a serial loop: ``--jobs`` would be ignored,
+        so it is a usage error; ``--no-disk-cache`` still parses."""
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", flag, "2"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+        args = build_parser().parse_args(["simulate", "--no-disk-cache"])
+        assert args.no_disk_cache and not hasattr(args, "jobs")
+
     def test_experiment_fig1_chart(self, capsys):
         assert main(["experiment", "fig1", "--chart"]) == 0
         env, err = _envelope(capsys)

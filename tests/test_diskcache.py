@@ -481,6 +481,34 @@ class TestSolverCodecs:
         assert warm.expected_work == cold.expected_work
         assert warm.u == cold.u
 
+    def test_replan_entry_holds_only_the_schedule(self):
+        """A replan result carries no DP table, in memory or on disk."""
+        import dataclasses
+
+        from repro.core.dp_nextfailure import dp_next_failure_parallel
+        from repro.core.state import PlatformState
+
+        dist = Weibull.from_mtbf(DAY, 0.7)
+        ages = np.array([0.0, 600.0, 3 * HOUR])
+
+        def solve():
+            return dp_next_failure_parallel(
+                4 * HOUR, 600.0, PlatformState(ages, dist), 600.0
+            )
+
+        result = cached_replan(
+            4 * HOUR, 600.0, dist, ages, 600.0, 10, 100, True, solve
+        )
+        fields = {f.name for f in dataclasses.fields(result)}
+        assert fields == {"chunks", "expected_work", "u"}
+        entries = list((get_disk_cache().root / "replan").rglob("*.npz"))
+        assert len(entries) == 1
+        with np.load(entries[0]) as payload:
+            # __meta__ is the tier's own key/version record
+            assert set(payload.files) == {
+                "__meta__", "chunks", "expected_work", "u"
+            }
+
     def test_load_handles_missing_fields(self, tmp_path, monkeypatch):
         """A payload missing required arrays is a miss, not a crash."""
         monkeypatch.setenv("REPRO_SERVICE_DIR", str(tmp_path))

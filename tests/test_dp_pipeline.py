@@ -1,11 +1,11 @@
 """Fast adaptive-policy pipeline: batched survival kernels, the
-vectorized DP paths, and the cross-trace replan memo.
+DPNextFailure kernel, and the cross-trace replan memo.
 
-Everything here is an identity gate: the vectorized kernels must equal
-the scalar reference paths bit-for-bit (``expected_work_of_schedule``
-is the documented exception — telescoping reassociates the sum), and a
-replan-memo hit must return the bit-identical result of the cold solve
-it stands in for.
+Everything here is an identity gate: the production kernel must equal
+the reference kernel of :mod:`tests.nextfailure_oracle` bit-for-bit
+(``expected_work_of_schedule`` is the documented exception —
+telescoping reassociates the sum), and a replan-memo hit must return the
+bit-identical result of the cold solve it stands in for.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from repro.core.state import PlatformState, SurvivalTable
 from repro.distributions import Empirical, Exponential, Gamma, LogNormal, Weibull
 from repro.units import DAY, HOUR
 
+from . import nextfailure_oracle as oracle
 from .conftest import bypass_solve_caches
 
 DISTRIBUTIONS = [
@@ -74,7 +75,8 @@ class TestBatchedKernels:
 
 
 class TestVectorizedDP:
-    """Vectorized vs scalar DP plumbing: same bits."""
+    """Production DP plumbing vs the reference kernel
+    (:mod:`tests.nextfailure_oracle`): same bits."""
 
     def _state(self, seed=0, compress=False):
         rng = np.random.default_rng(seed)
@@ -86,25 +88,23 @@ class TestVectorizedDP:
     def test_survival_table_identity(self, compress):
         st = self._state(compress=compress)
         fast = SurvivalTable.build(st, u=600.0, c=120.0, na=20, nb=6)
-        slow = SurvivalTable.build(
-            st, u=600.0, c=120.0, na=20, nb=6, vectorized=False
-        )
-        assert np.array_equal(fast.m2, slow.m2)
+        slow = oracle.survival_lattice(st, u=600.0, c=120.0, na=20, nb=6)
+        reachable = _reachable(20, 6)
+        assert np.array_equal(fast.m2[reachable], slow[reachable])
+        assert np.all(np.isnan(fast.m2[~reachable]))
 
     @pytest.mark.parametrize("x0", [1, 5, 64, 1000])
     def test_chunk_cap_identity(self, x0):
         st = self._state(seed=x0)
         fast = _chunk_cap(st, checkpoint=600.0, x0=x0)
-        slow = _chunk_cap(st, checkpoint=600.0, x0=x0, vectorized=False)
+        slow = oracle.chunk_cap(st, checkpoint=600.0, x0=x0)
         assert fast == slow
 
     @pytest.mark.parametrize("seed", range(4))
     def test_dp_next_failure_parallel_identity(self, seed):
         st = self._state(seed=seed, compress=True)
         fast = dp_next_failure_parallel(8 * HOUR, 600.0, st, u=1200.0)
-        slow = dp_next_failure_parallel(
-            8 * HOUR, 600.0, st, u=1200.0, vectorized=False
-        )
+        slow = oracle.dp_next_failure_parallel(8 * HOUR, 600.0, st, u=1200.0)
         assert np.array_equal(fast.chunks, slow.chunks)
         assert fast.expected_work == slow.expected_work
 
@@ -112,14 +112,65 @@ class TestVectorizedDP:
         st = self._state(seed=7)
         chunks = np.array([1800.0, 3600.0, 600.0, 7200.0])
         fast = expected_work_of_schedule(chunks, 600.0, st)
-        slow = expected_work_of_schedule(chunks, 600.0, st, vectorized=False)
+        slow = oracle.expected_work_of_schedule(chunks, 600.0, st)
         # Documented exception: telescoping reassociates the float sum.
         assert fast == pytest.approx(slow, rel=1e-12)
 
     def test_expected_work_empty_schedule(self):
         st = self._state()
         assert expected_work_of_schedule([], 600.0, st) == 0.0
-        assert expected_work_of_schedule([], 600.0, st, vectorized=False) == 0.0
+        assert oracle.expected_work_of_schedule([], 600.0, st) == 0.0
+
+
+def _reachable(na, nb):
+    """Mask of the lattice cells the production table tabulates."""
+    return np.arange(nb + 1)[None, :] <= np.arange(na + 1)[:, None]
+
+
+class TestKernelMatchesOracle:
+    """Seeded property test: the production DPNextFailure kernel equals
+    the reference kernel bit for bit on random compressed states."""
+
+    FAMILIES = [
+        "weibull", "exponential", "zero_checkpoint", "two_quanta", "cap_binds"
+    ]
+    CASES = 8
+
+    def _case(self, rng, family):
+        if family == "exponential":
+            dist = Exponential.from_mtbf(rng.uniform(1.0, 20.0) * DAY)
+        else:
+            dist = Weibull.from_mtbf(
+                rng.uniform(1.0, 20.0) * DAY, rng.uniform(0.3, 1.5)
+            )
+        p = int(rng.integers(1, 64))
+        ages = quantize_ages(rng.uniform(0.0, 10 * DAY, size=p), 600.0)
+        state = PlatformState(ages, dist).compress(4, 8)
+        x0 = 2 if family == "two_quanta" else int(rng.integers(2, 131))
+        mtbf = dist.mean() / p
+        u = float(rng.uniform(0.5, 4.0)) * mtbf / x0
+        if family == "zero_checkpoint":
+            checkpoint = 0.0
+        elif family == "cap_binds":
+            # checkpoints long next to the platform MTBF: a few of them
+            # already push log-survival below the probe's cutoff
+            checkpoint = float(rng.uniform(3.0, 10.0)) * mtbf
+            x0 = max(x0, 16)
+        else:
+            checkpoint = float(rng.uniform(0.001, 0.2)) * mtbf
+        return x0 * u, checkpoint, state, u, x0
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_bit_identical_to_oracle(self, family):
+        rng = np.random.default_rng(self.FAMILIES.index(family))
+        for _ in range(self.CASES):
+            work, checkpoint, state, u, x0 = self._case(rng, family)
+            fast = dp_next_failure_parallel(work, checkpoint, state, u)
+            slow = oracle.dp_next_failure_parallel(work, checkpoint, state, u)
+            assert np.array_equal(fast.chunks, slow.chunks)
+            assert fast.expected_work == slow.expected_work
+            if family == "cap_binds":
+                assert _chunk_cap(state, checkpoint, x0) < x0 + 1
 
 
 class TestQuantizeAges:
@@ -247,10 +298,21 @@ class TestPolicyMemoEquivalence:
             )
 
     def test_vectorized_on_off_identical(self, monkeypatch):
-        # cold solves on both arms, so each kernel path really runs
-        bypass_solve_caches(monkeypatch)
-        fast = self._run(vectorized=True)
-        slow = self._run(vectorized=False)
+        # cold solves on both arms, so each kernel really runs: the
+        # production kernel, then the reference one
+        import repro.policies.dp as dp_policies
+
+        with monkeypatch.context() as mp:
+            mp.setattr(dp_policies, "cached_replan", lambda *args: args[-1]())
+            mp.setattr(
+                dp_policies,
+                "cached_dp_next_failure_parallel",
+                dp_next_failure_parallel,
+            )
+            fast = self._run()
+        with monkeypatch.context() as mp:
+            bypass_solve_caches(mp)
+            slow = self._run()
         assert np.array_equal(
             fast.makespans["DPNextFailure"], slow.makespans["DPNextFailure"]
         )

@@ -390,7 +390,6 @@ class TestSharedMemory:
             horizon=1.0,
             recovery=0.0,
             t0=0.0,
-            has_ensemble=False,
         )
         with pytest.raises(Exception):
             shm_mod.attach_scenario(layout)

@@ -110,8 +110,11 @@ class TestSurvivalTable:
         st = PlatformState([DAY, 3 * DAY, YEAR], weibull)
         u, c = 500.0, 600.0
         table = SurvivalTable.build(st, u, c, na=10, nb=5)
-        for a in (0, 3, 10):
-            for b in (0, 2, 5):
+        for a in range(11):
+            for b in range(6):
+                if b > a:  # unreachable: never tabulated
+                    assert np.isnan(table.m2[a, b])
+                    continue
                 direct = st.log_psuc(a * u + b * c)
                 assert table.m2[a, b] - table.m2[0, 0] == pytest.approx(
                     direct, rel=1e-9, abs=1e-12
@@ -133,7 +136,9 @@ class TestSurvivalTable:
         d = Empirical([10.0, 20.0, 30.0])
         st = PlatformState([5.0], d)
         table = SurvivalTable.build(st, 10.0, 10.0, na=5, nb=5)
-        assert np.all(np.isfinite(table.m2))
+        reachable = np.tril(np.ones((6, 6), dtype=bool))  # b <= a
+        assert np.all(np.isfinite(table.m2[reachable]))
+        assert np.all(np.isnan(table.m2[~reachable]))
 
     def test_rejects_bad_args(self, weibull):
         st = PlatformState([0.0], weibull)
