@@ -187,13 +187,21 @@ class SurvivalTable:
     ) -> "SurvivalTable":
         """Tabulate the reachable cells of ``a = 0..na``, ``b = 0..nb``.
 
-        One batched
+        The cells are taken in blocks of ``max(64, 8192 // p)``: per
+        block, one batched
         :meth:`~repro.distributions.base.FailureDistribution.log_survival`
         kernel call covers the ``(p, cells)`` advance grid and one
         ``einsum`` collapses it over the processor weights.  Each cell
         carries the same bits as the scalar reference sum
         ``sum_i w_i logsf(tau_i + a*u + b*c)`` accumulated in processor
-        order (the test oracle in ``tests/nextfailure_oracle.py``).
+        order (the test oracle in ``tests/nextfailure_oracle.py``),
+        whatever the block size.
+
+        Blocks keep every kernel temporary near 64 KB.  One call over
+        all cells makes temporaries of a few MB, which the allocator
+        maps fresh and hands back to the OS after each replan: a Table 4
+        pass then spent ~20% of its wall time in ~360,000 page faults,
+        and the cost of a fault varies with the host's memory load.
         """
         if u <= 0 or na < 0 or nb < 0:
             raise ValueError("need positive quantum and non-negative sizes")
@@ -201,9 +209,14 @@ class SurvivalTable:
         cols = np.arange(nb + 1, dtype=float)[None, :]
         reachable = cols <= rows
         grid = (rows * u + cols * c)[reachable]
-        logsf = state.dist.log_survival(state.taus[:, None] + grid[None, :])
+        cells = np.empty(grid.size)
+        step = max(64, 8192 // state.taus.size)
+        for lo in range(0, grid.size, step):
+            block = grid[lo : lo + step]
+            logsf = state.dist.log_survival(state.taus[:, None] + block)
+            cells[lo : lo + step] = np.einsum("i,ij->j", state.weights, logsf)
         m2 = np.full((na + 1, nb + 1), np.nan)
-        m2[reachable] = np.einsum("i,ij->j", state.weights, logsf)
+        m2[reachable] = cells
         # Floor at exp(-700) ~ 1e-304 so that differences of two
         # "impossible" entries stay finite (0 probability) instead of
         # producing inf - inf = nan in the DP.  NaN cells stay NaN.

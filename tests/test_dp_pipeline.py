@@ -93,6 +93,19 @@ class TestVectorizedDP:
         assert np.array_equal(fast.m2[reachable], slow[reachable])
         assert np.all(np.isnan(fast.m2[~reachable]))
 
+    def test_survival_table_identity_across_blocks(self):
+        """200 ages put 64 cells in a build block: the 861 reachable
+        cells span 14 blocks, the last one partial."""
+        rng = np.random.default_rng(7)
+        st = PlatformState(
+            rng.uniform(0.0, 5 * DAY, size=200), Weibull.from_mtbf(10 * DAY, 0.7)
+        )
+        fast = SurvivalTable.build(st, u=600.0, c=120.0, na=40, nb=40)
+        slow = oracle.survival_lattice(st, u=600.0, c=120.0, na=40, nb=40)
+        reachable = _reachable(40, 40)
+        assert np.array_equal(fast.m2[reachable], slow[reachable])
+        assert np.all(np.isnan(fast.m2[~reachable]))
+
     @pytest.mark.parametrize("x0", [1, 5, 64, 1000])
     def test_chunk_cap_identity(self, x0):
         st = self._state(seed=x0)
