@@ -1,19 +1,15 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint lint-fix test test-fast bench-smoke bench-engine bench-dp \
+.PHONY: lint test test-fast bench-smoke bench-engine bench-dp \
 	bench-solvecache bench-sweep perfbench-check service-smoke verify
 
-# Static analysis.  reprolint (stdlib-only, part of this package) always
-# runs the full R1-R15 rule set — per-file, whole-program and
-# interprocedural — over src/ and tests/ (the literal rules R2/R3 relax
-# themselves inside test files).  Re-runs are incremental via
-# .reprolint-cache/ (file level and call-graph level).  --baseline
-# applies the committed (currently empty) ratchet file and fails on
-# stale entries.  ruff and mypy run only where installed — CI installs
-# both.
+# Static analysis.  reprolint (stdlib-only, part of this package) runs
+# its whole rule set — per-file, whole-program and interprocedural — in
+# one uncached serial pass over src/ and tests/ (~3 s).  ruff and mypy
+# run only where installed — CI installs both.
 lint:
-	$(PYTHON) -m repro lint src tests --baseline
+	$(PYTHON) -m repro lint src tests
 	@if command -v ruff >/dev/null 2>&1; then \
 		ruff check src tests; \
 	else \
@@ -24,11 +20,6 @@ lint:
 	else \
 		echo "mypy not installed -- skipping (CI runs it)"; \
 	fi
-
-# Apply reprolint's mechanical fixes (R2 unit constants, R4 future
-# imports), then report what is left for a human.
-lint-fix:
-	$(PYTHON) -m repro lint src tests --fix
 
 # Full tier-1 suite.
 test:

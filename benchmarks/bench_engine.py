@@ -13,7 +13,8 @@ Two measurements, each with a built-in bit-identity check:
    all policies + one lockstep replay per policy).
 2. **DPMakespan build** — the ``y``-at-a-time reference loop vs the
    blocked 2-D ``(y, i)`` vectorized sweep of
-   :func:`repro.core.dp_makespan.dp_makespan`.
+   :func:`repro.core.dp_makespan.dp_makespan` (the loop is the test
+   oracle ``tests/dpmakespan_oracle.py``).
 
 Results are archived to ``benchmarks/results/engine_batch.txt`` and
 machine-readable ``BENCH_engine.json`` at the repo root.  The full run
@@ -32,7 +33,9 @@ import time
 
 import numpy as np
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT))  # the reference sweep lives in tests/
 
 from repro.core.dp_makespan import dp_makespan  # noqa: E402
 from repro.distributions.weibull import Weibull  # noqa: E402
@@ -55,12 +58,11 @@ from repro.simulation.engine import (  # noqa: E402
     simulate_lower_bound,
 )
 from repro.traces.generation import generate_platform_traces  # noqa: E402
+from tests import dpmakespan_oracle  # noqa: E402
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
 from _util import report, write_bench_json  # noqa: E402
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 HOUR = 3600.0
 DAY = 24 * HOUR
@@ -209,9 +211,11 @@ def bench_dp_makespan(n_grid: int) -> dict:
     u = max(checkpoint, work / n_grid)
 
     t0 = time.perf_counter()
-    vec = dp_makespan(work, checkpoint, downtime, recovery, dist, u, vectorized=True)
+    vec = dp_makespan(work, checkpoint, downtime, recovery, dist, u)
     t1 = time.perf_counter()
-    loop = dp_makespan(work, checkpoint, downtime, recovery, dist, u, vectorized=False)
+    loop = dpmakespan_oracle.dp_makespan(
+        work, checkpoint, downtime, recovery, dist, u
+    )
     t2 = time.perf_counter()
 
     identical = (

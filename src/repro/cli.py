@@ -24,9 +24,7 @@ Subcommands:
 - ``repro store``       — result-store stats / wipe.
 
 Exit codes: 0 success, 1 domain failure (infeasible policy, lint
-findings, failed job), 2 usage or internal error.  The one stdout
-exemption is ``repro lint --format sarif``: a raw SARIF document
-(still a single valid JSON document) so CI can archive it as-is.
+findings, failed job), 2 usage or internal error.
 
 Durations accept suffixes: ``s`` (default), ``m``, ``h``, ``d``, ``w``,
 ``y`` — e.g. ``--work 20d --mtbf 1w --checkpoint 600``.
@@ -49,14 +47,10 @@ import time
 from pathlib import Path
 from typing import Any
 
-from repro.service.envelope import emit, emit_raw, envelope, error_envelope, hlog
+from repro.service.envelope import emit, envelope, error_envelope, hlog
 from repro.units import DAY, HOUR, MINUTE, WEEK, YEAR
 
 __all__ = ["main", "parse_duration"]
-
-# mirrors repro.lint.baseline.DEFAULT_BASELINE (imported lazily there);
-# needed at parser-build time without importing the lint package
-DEFAULT_BASELINE = ".reprolint-baseline.json"
 
 _SUFFIXES = {
     "s": 1.0,
@@ -67,8 +61,8 @@ _SUFFIXES = {
     "y": YEAR,
 }
 
-# The paper's policy roster as CLI keys (R8 cross-checks this against
-# the policies package, experiments tables and EXPERIMENTS.md).
+# The paper's policy roster as CLI keys (tests/test_policies.py cross-checks
+# it against the policies package, experiment tables and EXPERIMENTS.md).
 _POLICY_KEYS = (
     "young",
     "dalylow",
@@ -624,15 +618,9 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
-    from repro.lint import all_rules, run_lint
-    from repro.lint.baseline import (
-        apply_baseline,
-        load_baseline,
-        write_baseline,
-    )
-    from repro.lint.cache import LintCache
-    from repro.lint.fixes import apply_fixes
-    from repro.lint.formats import render_report, report_to_dict
+    from dataclasses import asdict
+
+    from repro.lint import all_rules, format_diagnostic, run_lint
 
     if args.list_rules:
         rules = [
@@ -642,93 +630,30 @@ def cmd_lint(args: argparse.Namespace) -> int:
         for rule in rules:
             hlog(f"{rule['code']}  {rule['name']:16s} {rule['description']}")
         return emit(envelope("lint", {"rules": rules}))
-    paths = args.paths or ["src"]
     select = args.select.split(",") if args.select else None
-    jobs = args.jobs if args.jobs else 1
-    if jobs == 0:
-        jobs = os.cpu_count() or 1
-    cache = None
-    if not args.no_cache and not args.fix:
-        # --fix needs live Fix objects, which the cache does not carry.
-        cache = LintCache(args.cache_dir)
-    fixed: dict[str, int] = {}
     try:
-        report = run_lint(paths, select=select, cache=cache, jobs=jobs)
-        if args.fix:
-            fixed = apply_fixes(report.diagnostics)
-            for path, n in fixed.items():
-                hlog(f"fixed {n} finding{'s' if n != 1 else ''} in {path}")
-            # re-lint so the report reflects the tree as it now stands
-            report = run_lint(paths, select=select, jobs=jobs)
+        report = run_lint(args.paths or ["src"], select=select)
     except (FileNotFoundError, KeyError) as exc:
         return emit(error_envelope("lint", type(exc).__name__, str(exc)))
-    if args.update_baseline:
-        write_baseline(args.update_baseline, report.diagnostics)
-        n = len([d for d in report.diagnostics if d.code != "E0"])
-        hlog(f"wrote {args.update_baseline} ({n} entr"
-             f"{'y' if n == 1 else 'ies'})")
-        return emit(envelope("lint", {
-            "baseline": args.update_baseline, "entries": n,
-        }))
-    if args.baseline:
-        try:
-            baseline = load_baseline(args.baseline)
-        except ValueError as exc:
-            return emit(error_envelope("lint", "BaselineError", str(exc)))
-        surviving, suppressed, stale = apply_baseline(
-            report.diagnostics, baseline
-        )
-        report.diagnostics = surviving
-        report.suppressed = suppressed
-        report.stale_baseline = stale
-    if report.has_errors:
-        exit_code, summary = 2, "\nparse errors encountered"
-    elif report.diagnostics:
-        n = len(report.diagnostics)
-        exit_code, summary = 1, f"\n{n} finding{'s' if n != 1 else ''}"
-    elif report.stale_baseline:
-        n = len(report.stale_baseline)
-        exit_code = 1
-        summary = (f"\n{n} stale baseline entr{'y' if n == 1 else 'ies'} "
-                   "(run --update-baseline to prune)")
-    else:
-        exit_code, summary = 0, ""
-    for fp in report.stale_baseline:
-        hlog(f"stale baseline entry: {fp}")
-    if report.suppressed:
-        summary += (f"\n{report.suppressed} finding"
-                    f"{'s' if report.suppressed != 1 else ''} "
-                    "suppressed by baseline")
-    if args.format == "sarif":
-        # documented envelope exemption: stdout is the raw SARIF
-        # document (a single valid JSON document) for CI archival
-        emit_raw(render_report(report, "sarif"))
-        if summary:
-            hlog(summary)
-        return exit_code
-    text = render_report(report, "text", explain=args.explain)
-    if text:
-        hlog(text)
-    if summary:
-        hlog(summary)
-    data = report_to_dict(report)
-    data["fixed"] = fixed
-    env = envelope(
+    for d in report.diagnostics:
+        hlog(format_diagnostic(d))
+    n = len(report.diagnostics)
+    exit_code = 2 if report.has_errors else 1 if n else 0
+    if exit_code:
+        hlog(f"\n{n} finding{'s' if n != 1 else ''}"
+             + ("; parse errors" if report.has_errors else ""))
+    return emit(envelope(
         "lint",
-        data,
+        {"files": report.files,
+         "diagnostics": [asdict(d) for d in report.diagnostics]},
         ok=exit_code == 0,
         exit_code=exit_code,
         error=None if exit_code == 0 else {
             "type": "ParseErrors" if exit_code == 2 else "Findings",
-            "message": f"{len(report.diagnostics)} finding(s)"
-                       + ("; parse errors" if report.has_errors else "")
-                       + (f"; {len(report.stale_baseline)} stale baseline "
-                          "entr" + ("y" if len(report.stale_baseline) == 1
-                                    else "ies")
-                          if report.stale_baseline else ""),
+            "message": f"{n} finding(s)"
+                       + ("; parse errors" if report.has_errors else ""),
         },
-    )
-    return emit(env)
+    ))
 
 
 def cmd_mtbf(args: argparse.Namespace) -> int:
@@ -1058,35 +983,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(e.g. R1,unit-safety); default: all")
     p_lint.add_argument("--list-rules", action="store_true",
                         help="print the rule catalogue and exit")
-    p_lint.add_argument("--fix", action="store_true",
-                        help="apply mechanical fixes (R2 unit constants, "
-                             "R4 future-annotations import) and re-lint")
-    p_lint.add_argument("--format", choices=("text", "json", "sarif"),
-                        default="text",
-                        help="text/json: envelope on stdout, rendered "
-                             "findings on stderr; sarif: raw SARIF "
-                             "document on stdout")
-    p_lint.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
-                        help="worker processes for the per-file pass "
-                             "(default 1 = serial; 0 = one per CPU)")
-    p_lint.add_argument("--no-cache", action="store_true",
-                        help="ignore and do not write .reprolint-cache/")
-    p_lint.add_argument("--cache-dir", type=Path, default=None,
-                        metavar="DIR",
-                        help="cache location (default: $REPROLINT_CACHE_DIR "
-                             "or ./.reprolint-cache)")
-    p_lint.add_argument("--explain", action="store_true",
-                        help="print the call chain behind each "
-                             "interprocedural finding (R13-R15)")
-    p_lint.add_argument("--baseline", nargs="?", metavar="FILE",
-                        const=DEFAULT_BASELINE, default=None,
-                        help="suppress findings recorded in the baseline "
-                             f"file (default {DEFAULT_BASELINE}); stale "
-                             "entries fail the run")
-    p_lint.add_argument("--update-baseline", nargs="?", metavar="FILE",
-                        const=DEFAULT_BASELINE, default=None,
-                        help="rewrite the baseline file from the current "
-                             "findings and exit 0")
     p_lint.set_defaults(func=cmd_lint)
 
     p_mtbf = sub.add_parser("mtbf", help="Figure-1 rejuvenation analytics")

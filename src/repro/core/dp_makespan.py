@@ -152,7 +152,6 @@ def dp_makespan(
     dist: FailureDistribution,
     u: float,
     tau0: float = 0.0,
-    vectorized: bool = True,
 ) -> DPMakespanResult:
     """Solve Makespan by Algorithm 1 on a quantum-``u`` grid.
 
@@ -160,11 +159,10 @@ def dp_makespan(
     quantum each).  Cost grows as ``(work/u)^3``, matching Proposition 2 —
     keep ``work/u`` in the low hundreds.
 
-    ``vectorized`` sweeps each plane's whole ``y`` range in blocked 2-D
-    ``(y, i)`` operations; the per-element float operations are the same
-    as the ``y``-at-a-time reference loop, so both build identical
-    tables (``vectorized=False`` is kept for the equivalence tests and
-    the benchmark).
+    Each plane's whole ``y`` range is swept in blocked 2-D ``(y, i)``
+    operations; the per-element float operations are the same as the
+    ``y``-at-a-time reference loop (``tests/dpmakespan_oracle.py``), so
+    both build identical tables.
     """
     if u <= 0:
         raise ValueError("quantum u must be positive")
@@ -200,45 +198,25 @@ def dp_makespan(
         c_post[x, 0] = best + 1
         anchor = v_post[x, 0]
 
-        if vectorized:
-            # ---- both planes, all y rows at once, in blocks ----
-            block = max(1, _Y_BLOCK_ELEMS // x)
-            xcols = x - ivec
-            for plane, y_lo, v, c in (
-                (post, 1, v_post, c_post),
-                (pre, 0, v_pre, c_pre),
-            ):
-                for start in range(y_lo, reach + 1, block):
-                    ys = np.arange(start, min(start + block, reach + 1))
-                    p = np.clip(plane.psuc_grid(ys, deltas), 1e-300, 1.0)
-                    tl = plane.tlost_grid(ys, deltas, u)
-                    vsucc = v[xcols[None, :], ys[:, None] + deltas[None, :]]
-                    vals = p * (widths[None, :] + vsucc) + (1.0 - p) * (
-                        tl + trec + anchor
-                    )
-                    best = np.argmin(vals, axis=1)
-                    rows = np.arange(ys.size)
-                    v[x, ys] = vals[rows, best]
-                    c[x, ys] = best + 1
-        else:
-            # ---- reference: one y row at a time ----
-            for y in range(1, reach + 1):
-                p = np.clip(post.psuc(y, deltas), 1e-300, 1.0)
-                tl = post.tlost(y, deltas, u)
-                vsucc = v_post[x - ivec, y + deltas]
-                vals = p * (widths + vsucc) + (1.0 - p) * (tl + trec + anchor)
-                best = int(np.argmin(vals))
-                v_post[x, y] = vals[best]
-                c_post[x, y] = best + 1
-
-            for y in range(0, reach + 1):
-                p = np.clip(pre.psuc(y, deltas), 1e-300, 1.0)
-                tl = pre.tlost(y, deltas, u)
-                vsucc = v_pre[x - ivec, y + deltas]
-                vals = p * (widths + vsucc) + (1.0 - p) * (tl + trec + anchor)
-                best = int(np.argmin(vals))
-                v_pre[x, y] = vals[best]
-                c_pre[x, y] = best + 1
+        # ---- both planes, all y rows at once, in blocks ----
+        block = max(1, _Y_BLOCK_ELEMS // x)
+        xcols = x - ivec
+        for plane, y_lo, v, c in (
+            (post, 1, v_post, c_post),
+            (pre, 0, v_pre, c_pre),
+        ):
+            for start in range(y_lo, reach + 1, block):
+                ys = np.arange(start, min(start + block, reach + 1))
+                p = np.clip(plane.psuc_grid(ys, deltas), 1e-300, 1.0)
+                tl = plane.tlost_grid(ys, deltas, u)
+                vsucc = v[xcols[None, :], ys[:, None] + deltas[None, :]]
+                vals = p * (widths[None, :] + vsucc) + (1.0 - p) * (
+                    tl + trec + anchor
+                )
+                best = np.argmin(vals, axis=1)
+                rows = np.arange(ys.size)
+                v[x, ys] = vals[rows, best]
+                c[x, ys] = best + 1
 
     return DPMakespanResult(
         expected_makespan=float(v_pre[x0, 0]),

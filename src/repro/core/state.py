@@ -114,7 +114,7 @@ class PlatformState:
         and every remaining processor is mapped to the nearest reference.
         """
         # weights are exactly 1.0 by construction for uncompressed states
-        if self.weights is not None and not np.all(self.weights == 1.0):  # reprolint: disable=R3
+        if self.weights is not None and not np.all(self.weights == 1.0):
             raise ValueError("can only compress an uncompressed state")
         p = self.taus.size
         if p <= nexact + napprox:
@@ -221,7 +221,3 @@ class SurvivalTable:
         # "impossible" entries stay finite (0 probability) instead of
         # producing inf - inf = nan in the DP.  NaN cells stay NaN.
         return cls(m2=np.maximum(m2, -700.0), u=float(u), c=float(c))
-
-    def log_psuc(self, a, b, i):
-        """``log Psuc`` of ``i`` quanta + one checkpoint from ``(a, b)``."""
-        return self.m2[np.add(a, i), np.add(b, 1)] - self.m2[a, b]

@@ -1,43 +1,31 @@
 """reprolint — domain-aware static analysis for this reproduction.
 
 The repo's headline guarantees (bit-identical serial/parallel runs via
-``SeedSequence([seed, i])``, paper-faithful arithmetic in seconds) are
-invariants no general-purpose linter knows about.  ``reprolint`` encodes
-them as machine-checked rules — per-file AST rules plus whole-program
-flow rules over a cross-module semantic model
-(:mod:`repro.lint.project`):
+``SeedSequence([seed, i])``, paper-faithful arithmetic in seconds, one
+JSON envelope per CLI run, a service that converts every failure) are
+invariants no general-purpose linter knows about.  ``reprolint`` keeps
+only the rules that guard a result-determining invariant or have caught
+a real defect — per-file AST rules plus whole-program flow rules over a
+cross-module model (:mod:`repro.lint.project`):
 
-- **R1 determinism** — no legacy ``np.random.*`` samplers, no stdlib
-  ``random``, no wall-clock reads in ``simulation/``/``core/`` hot
-  paths; trace-generating calls must thread an explicit seed.
-- **R2 unit-safety** — time-valued positions must use ``repro.units``
-  constants instead of bare 60/3600/86400 multiples, and time parameter
-  names must follow the seconds convention (autofixable via ``--fix``).
-- **R3 float-eq** — no ``==``/``!=`` against float literals outside
-  approved tolerance helpers.
-- **R4 api-hygiene** — no mutable default arguments, no bare ``except``
-  or swallowed ``Exception``; modules carry the future-annotations
-  import (autofixable via ``--fix``).
-- **R5 test-discipline** — expensive DP/integration tests must carry
-  ``@pytest.mark.slow``.
-- **R6 seed-flow** *(whole-program)* — seed/rng parameters must thread
+- **R1 determinism**, **R6 seed-flow**, **R13 determinism-taint** — no
+  global-state RNGs or wall-clock reads in the kernels, seeds threaded
   unbroken from public entry points down to ``Distribution.sample``;
-  dropped or shadowed seed chains are flagged.
-- **R7 unit-propagation** *(whole-program)* — arguments flowing into
-  time-valued parameters across module boundaries must be seconds.
-- **R8 registry-conformance** *(whole-program)* — the ten paper
-  policies must agree across the policy registry, the CLI, the
-  experiment tables, the runner constants, and EXPERIMENTS.md.
+- **R2 unit-safety** — time-valued positions use ``repro.units``
+  constants and time parameters are named in seconds;
+- **R9 lock-discipline**, **R10 resource-lifecycle**, **R12
+  thread-hygiene**, **R15 service-exception-contract** — the threaded
+  service tier's locking, resource release and failure conversion;
+- **R11 envelope-conformance** — stdout carries exactly one envelope.
 
-Run via ``repro lint [paths]`` (``--fix``, ``--format json|sarif``,
-``--jobs N``, incremental ``.reprolint-cache/``) or :func:`lint_paths`
-/ :func:`run_lint`.  Exemptions are inline pragmas:
+Run via ``repro lint [paths]`` (``--select``, ``--list-rules``) or
+:func:`lint_paths` / :func:`run_lint`.  Exemptions are inline pragmas:
 ``# reprolint: disable=R2`` (see docs/development.md).
 """
 
 from __future__ import annotations
 
-from repro.lint.diagnostics import Diagnostic, Edit, Fix
+from repro.lint.diagnostics import Diagnostic
 from repro.lint.engine import (
     FileContext,
     LintReport,
@@ -50,9 +38,7 @@ from repro.lint.registry import LintRule, all_rules, get_rule, register
 
 __all__ = [
     "Diagnostic",
-    "Edit",
     "FileContext",
-    "Fix",
     "LintReport",
     "LintRule",
     "all_rules",

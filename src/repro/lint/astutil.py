@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import ast
 
-__all__ = ["dotted_name", "call_name", "decorator_name"]
+__all__ = ["dotted_name", "call_name"]
 
 
 def dotted_name(node: ast.expr) -> str | None:
@@ -30,11 +30,3 @@ def dotted_name(node: ast.expr) -> str | None:
 def call_name(node: ast.Call) -> str | None:
     """Dotted name of the called expression, or None if not a name."""
     return dotted_name(node.func)
-
-
-def decorator_name(node: ast.expr) -> str | None:
-    """Dotted name of a decorator, unwrapping a trailing call:
-    ``@pytest.mark.parametrize(...)`` -> ``pytest.mark.parametrize``."""
-    if isinstance(node, ast.Call):
-        return dotted_name(node.func)
-    return dotted_name(node)

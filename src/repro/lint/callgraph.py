@@ -18,17 +18,11 @@ stop propagation at converted boundaries.  Calls that resolve to names
 *outside* the project (``time.time``, ``os.getenv``) are kept per
 caller in :attr:`CallGraph.external` — the determinism-taint rule's
 source set lives there.
-
-The graph also derives the **module dependency map** the incremental
-cache keys interprocedural results on: module M's diagnostics depend
-only on the modules its functions transitively reach (plus every
-package ``__init__``, whose re-export bindings steer resolution), so a
-changed leaf invalidates exactly its transitive callers.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 from repro.lint.dataflow import Edge
 
@@ -148,52 +142,6 @@ class CallGraph:
             ]
             for caller, edges in self.out.items()
         }
-
-    def iter_edges(self) -> Iterator[CallEdge]:
-        """Every resolved edge in the graph, in caller order."""
-        for edges in self.out.values():
-            yield from edges
-
-    # -- module dependencies (for the incremental cache) ---------------
-
-    def module_dependencies(self) -> dict[str, set[str]]:
-        """Module -> modules its interprocedural results depend on:
-        the modules of every transitively reachable function, plus all
-        package ``__init__`` modules (their re-exports steer resolution
-        everywhere).  The module itself is excluded (its own content
-        digest already keys the cache entry)."""
-        model = self.model
-        module_of = {
-            f"{mod.module}.{fn.qualname}": mod.module
-            for mod, fn in model.functions()
-        }
-        direct: dict[str, set[str]] = {name: set() for name in model.modules}
-        for edge in self.iter_edges():
-            src = module_of[edge.caller]
-            dst = module_of[edge.callee]
-            if src != dst:
-                direct[src].add(dst)
-        # transitive closure by BFS per module (the graph is small)
-        closure: dict[str, set[str]] = {}
-        for name in model.modules:
-            seen: set[str] = set()
-            frontier = list(direct.get(name, ()))
-            while frontier:
-                dep = frontier.pop()
-                if dep in seen:
-                    continue
-                seen.add(dep)
-                frontier.extend(direct.get(dep, ()))
-            seen.discard(name)
-            closure[name] = seen
-        packages = {
-            name
-            for name, mod in model.modules.items()
-            if mod.path.endswith("/__init__.py") or mod.path == "__init__.py"
-        }
-        for name, deps in closure.items():
-            deps.update(packages - {name})
-        return closure
 
 
 def build_call_graph(model: "ProjectModel") -> CallGraph:

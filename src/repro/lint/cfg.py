@@ -1,8 +1,8 @@
 """Per-function control-flow graphs for the whole-program rules.
 
 The project model (:mod:`repro.lint.project`) summarizes each function
-as a flat bag of call sites — enough for the call-graph rules (R6-R8)
-but blind to *paths*: "does every return path emit exactly one
+as a flat bag of call sites — enough for the call-graph rules (R6, R13,
+R15) but blind to *paths*: "does every return path emit exactly one
 envelope?" (R11) is a question about the CFG, not the bag.  This module
 builds a deliberately small basic-block CFG per function:
 
@@ -18,11 +18,8 @@ builds a deliberately small basic-block CFG per function:
   CLI's ``main`` wraps every handler in a catch-all), so R11 counts
   emissions over normal-return paths only.
 
-Like everything in the project model, CFGs are plain dataclasses of
-str/int, JSON-round-trippable so the incremental cache can persist them
-inside each file's :class:`~repro.lint.project.ModuleInfo` summary.
-They are only attached for files in the envelope-contract scope (see
-``project.wants_cfg``) to keep cache entries small.
+CFGs are only built for files in the envelope-contract scope (see
+``project.wants_cfg``).
 
 The one analysis shipped here, :func:`emission_bounds`, computes the
 (min, max) number of predicate-matching events over all normal paths,
@@ -35,7 +32,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Callable, Iterator
 
 from repro.lint.dataflow import forward_fixpoint
 
@@ -68,25 +65,11 @@ class CFG:
     edges: list[tuple[int, int]] = field(default_factory=list)
     entry: int = 0
     exits: list[int] = field(default_factory=list)  # normal-return blocks
-    raises: list[int] = field(default_factory=list)  # uncaught-raise sinks
 
     def events(self) -> Iterator[BlockEvent]:
         """Every call/return event in the function, block order."""
         for block in self.blocks:
             yield from block
-
-    @classmethod
-    def from_json(cls, data: dict[str, Any]) -> "CFG":
-        return cls(
-            blocks=[
-                [BlockEvent(**ev) for ev in block]
-                for block in data.get("blocks", [])
-            ],
-            edges=[tuple(e) for e in data.get("edges", [])],
-            entry=data.get("entry", 0),
-            exits=list(data.get("exits", [])),
-            raises=list(data.get("raises", [])),
-        )
 
 
 def _expr_calls(node: ast.expr) -> Iterator[ast.Call]:
@@ -117,7 +100,6 @@ class _Builder:
         self.edges: set[tuple[int, int]] = set()
         self.current: int | None = 0
         self.exits: list[int] = []
-        self.raises: list[int] = []
         self.loops: list[tuple[int, int]] = []  # (header, after)
         self.handlers: list[list[int]] = []  # active try handler entries
 
@@ -207,9 +189,7 @@ class _Builder:
         self.current = None
 
     def _stmt_Raise(self, node: ast.Raise) -> None:
-        if node.exc is not None:
-            self.emit_expr(node.exc)
-        self.raises.append(self._here())
+        self.emit_expr(node.exc)
         self.current = None
 
     def _stmt_If(self, node: ast.If) -> None:
@@ -336,7 +316,6 @@ def build_cfg(node: ast.FunctionDef | ast.AsyncFunctionDef) -> CFG:
         edges=sorted(builder.edges),
         entry=0,
         exits=sorted(set(builder.exits)),
-        raises=sorted(set(builder.raises)),
     )
 
 

@@ -16,8 +16,7 @@ Two layers of the engine ask the same shape of question:
 
 Summaries carry a *witness* per reached label (:class:`Hop`: the next
 function on a chain and the call site that takes you there), which is
-what lets ``--explain`` and SARIF ``codeFlows`` reconstruct the full
-source→sink chain (:func:`witness_chain`) without storing whole paths.
+what lets a finding print its full source→sink chain (:func:`witness_chain`) without storing whole paths.
 
 Everything here is graph-shape-agnostic plain data: nodes are strings,
 edges are ``(target, line, col, tag)`` tuples where ``tag`` is opaque

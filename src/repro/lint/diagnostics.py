@@ -1,38 +1,8 @@
-"""Diagnostic record emitted by lint rules, plus machine-applicable fixes."""
+"""Diagnostic record emitted by lint rules, with its witness chain."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-
-@dataclass(frozen=True)
-class Edit:
-    """Replace ``[col, end_col)`` (0-based) on 1-based ``line`` with ``text``."""
-
-    line: int
-    col: int
-    end_col: int
-    text: str
-
-
-@dataclass(frozen=True)
-class Fix:
-    """A mechanical remedy the ``--fix`` engine can apply.
-
-    ``edits`` are same-line text replacements; ``insert_line`` adds a
-    whole new line *before* the given 1-based line number;
-    ``add_units_import`` lists ``repro.units`` constant names the edited
-    file must import for the replacement text to resolve;
-    ``add_imports`` lists whole import statements (e.g.
-    ``"from repro.service.envelope import hlog"``) the edited file must
-    contain — each is inserted at the import block unless an identical
-    line already exists.
-    """
-
-    edits: tuple[Edit, ...] = ()
-    insert_line: tuple[int, str] | None = None
-    add_units_import: tuple[str, ...] = ()
-    add_imports: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -42,9 +12,8 @@ class TraceStep:
     The flow rules (R13, R15) attach a chain of these to each finding:
     the first step is the flagged function, each middle step the call
     site taking the chain one function deeper, the last step the
-    origin (the ambient-state read, the escaping ``raise``).  Rendered
-    under ``--explain`` in text output and always as SARIF
-    ``codeFlows``.
+    origin (the ambient-state read, the escaping ``raise``).  The text
+    report prints the chain under its finding.
     """
 
     path: str
@@ -61,11 +30,9 @@ class TraceStep:
 class Diagnostic:
     """One finding: where, which rule, and what to do about it.
 
-    Ordering is (path, line, col, code) so reports read top-to-bottom
-    per file.  ``fix`` (when present) is the mechanical remedy applied
-    by ``repro lint --fix``; ``trace`` (when present) is the witness
-    call chain of an interprocedural finding.  Neither participates in
-    equality.
+    Ordering is (path, line, col) so reports read top-to-bottom per
+    file.  ``trace`` (when present) is the witness call chain of an
+    interprocedural finding; it does not participate in equality.
     """
 
     path: str
@@ -74,7 +41,6 @@ class Diagnostic:
     code: str = field(compare=False)
     name: str = field(compare=False)
     message: str = field(compare=False)
-    fix: Fix | None = field(compare=False, default=None)
     trace: tuple[TraceStep, ...] = field(compare=False, default=())
 
     def render(self) -> str:

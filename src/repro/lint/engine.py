@@ -1,23 +1,15 @@
-"""Lint engine: discovery, parsing, caching, rule dispatch, reporting.
+"""Lint engine: discovery, parsing, rule dispatch, reporting.
 
-Two passes over the linted tree:
+One serial pass over the linted tree:
 
-1. **per-file** — each per-file rule walks one parsed
-   :class:`FileContext`; results are filtered through inline pragmas
-   (:mod:`repro.lint.pragmas`) and stored, together with the file's
-   :class:`~repro.lint.project.ModuleInfo` summary, in the content-hash
-   cache (:mod:`repro.lint.cache`);
-2. **whole-program** — the :class:`~repro.lint.project.ProjectModel` is
-   assembled from every file's summary (cached or fresh); the classic
-   project rules (R6-R8, R11) run over it, and the interprocedural
-   rules (R13-R15) dispatch per module through a second cache record
-   keyed on call-graph dependencies, so a changed leaf re-analyzes
-   exactly itself and its transitive callers.
+1. **per file** — :func:`lint_file` parses the file, runs the per-file
+   rules over the :class:`FileContext`, drops the findings an inline
+   pragma silences (:mod:`repro.lint.pragmas`) and summarizes the
+   module for the whole-program model;
+2. **whole program** — the :class:`~repro.lint.project.ProjectModel`
+   is assembled from every file's summary and the project rules (R6,
+   R11, R13, R15) run over it, through the same pragma filter.
 
-Because the cache stores summaries alongside diagnostics, a warm run
-over an unchanged tree re-parses **zero** files — including for the
-whole-program pass.  ``jobs > 1`` fans the per-file pass out over a
-process pool (same pattern as :mod:`repro.simulation.parallel`).
 Unreadable and non-UTF-8 files surface as synthetic ``E0`` parse-error
 diagnostics instead of crashing the run.
 """
@@ -27,24 +19,18 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from repro.lint.cache import (
-    LintCache,
-    content_digest,
-    diagnostic_from_json,
-    diagnostic_to_json,
-)
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.pragmas import (
     expand_decorator_pragmas,
     is_disabled,
     parse_pragmas,
 )
+from repro.lint.project import ModuleInfo, ProjectModel, build_module_info
 from repro.lint.registry import (
     LintRule,
     all_rules,
-    is_interprocedural,
     is_project_rule,
     resolve_selection,
 )
@@ -63,10 +49,7 @@ __all__ = [
 # Directory names never descended into during discovery.  ``fixtures``
 # holds deliberate rule violations for the linter's own test suite;
 # explicit file arguments still lint them.
-_SKIP_DIRS = frozenset(
-    {"__pycache__", ".git", ".venv", "build", "dist", "fixtures",
-     ".reprolint-cache"}
-)
+_SKIP_DIRS = frozenset({"__pycache__", ".git", ".venv", "build", "dist", "fixtures"})
 
 
 @dataclass
@@ -110,10 +93,8 @@ class FileResult:
 
     path: str
     diagnostics: list[Diagnostic] = field(default_factory=list)
-    module: dict[str, Any] | None = None  # ModuleInfo JSON summary
+    module: ModuleInfo | None = None  # None when the file did not parse
     pragmas: dict[int, frozenset[str]] = field(default_factory=dict)
-    parsed: bool = False  # a fresh ast.parse happened for this file
-    digest: str | None = None  # content hash (keys the project pass)
 
 
 @dataclass
@@ -122,15 +103,6 @@ class LintReport:
 
     diagnostics: list[Diagnostic] = field(default_factory=list)
     files: int = 0
-    parsed: int = 0  # cache misses: files actually read and parsed
-    cached: int = 0  # cache hits: files served entirely from the cache
-    # interprocedural pass (R13-R15): modules re-analyzed this run vs
-    # served from the call-graph-keyed project cache
-    project_reanalyzed: list[str] = field(default_factory=list)
-    project_cached: list[str] = field(default_factory=list)
-    # baseline accounting (filled by the CLI when --baseline is active)
-    suppressed: int = 0
-    stale_baseline: list[str] = field(default_factory=list)
 
     @property
     def has_errors(self) -> bool:
@@ -170,334 +142,82 @@ def _parse_error(path: Path, line: int, col: int, message: str) -> Diagnostic:
     )
 
 
-def _file_rules(rules: Sequence[LintRule] | None = None) -> list[LintRule]:
-    if rules is None:
-        rules = all_rules()
-    return [r for r in rules if not is_project_rule(r)]
-
-
-def _process_file(
-    path: Path,
-    cache: LintCache | None,
-    file_rules: Sequence[LintRule] | None = None,
-) -> FileResult:
-    """Lint one file through the cache: per-file diagnostics for the
-    *selected* per-file rules (the cache signature is keyed on that
-    selection), the module summary, and pragmas."""
-    if file_rules is None:
-        file_rules = _file_rules()
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        return FileResult(
-            path=path.as_posix(),
-            diagnostics=[_parse_error(path, 1, 1, f"cannot read: {exc}")],
-        )
-    digest = content_digest(raw)
-    if cache is not None:
-        record = cache.load(path, digest)
-        if record is not None:
-            return FileResult(
-                path=path.as_posix(),
-                diagnostics=[
-                    diagnostic_from_json(d) for d in record.get("diags", [])
-                ],
-                module=record.get("module"),
-                pragmas={
-                    int(line): frozenset(keys)
-                    for line, keys in record.get("pragmas", {}).items()
-                },
-                digest=digest,
-            )
-
-    result = FileResult(path=path.as_posix(), parsed=True, digest=digest)
-    try:
-        source = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        result.diagnostics = [
-            _parse_error(path, 1, 1, f"cannot decode as UTF-8: {exc.reason}")
-        ]
-    else:
-        try:
-            tree = ast.parse(source, filename=str(path))
-        except SyntaxError as exc:
-            result.diagnostics = [
-                _parse_error(
-                    path,
-                    exc.lineno or 1,
-                    (exc.offset or 0) + 1,
-                    f"cannot parse: {exc.msg}",
-                )
-            ]
-        else:
-            lines = source.splitlines()
-            pragmas = expand_decorator_pragmas(tree, parse_pragmas(lines))
-            ctx = FileContext(path=path, source=source, tree=tree, lines=lines)
-            diags: list[Diagnostic] = []
-            for rule in file_rules:
-                for d in rule.check(ctx):
-                    if not is_disabled(pragmas, d.line, d.code, d.name):
-                        diags.append(d)
-            from repro.lint.project import build_module_info
-
-            result.diagnostics = sorted(diags)
-            result.module = build_module_info(path, tree, lines).to_json()
-            result.pragmas = pragmas
-
-    if cache is not None:
-        cache.store(
-            path,
-            digest,
-            {
-                "diags": [diagnostic_to_json(d) for d in result.diagnostics],
-                "module": result.module,
-                "pragmas": {
-                    str(line): sorted(keys)
-                    for line, keys in result.pragmas.items()
-                },
-            },
-        )
-    return result
-
-
-# -- process-pool worker (module level so it pickles) -------------------
-
-_POOL_CACHE: LintCache | None = None
-_POOL_RULES: list[LintRule] | None = None
-
-
-def _pool_init(
-    cache_dir: str | None, enabled: bool, codes: tuple[str, ...] | None
-) -> None:
-    """Rebuild the cache and the resolved selection inside a worker:
-    rule objects do not pickle, so only the codes cross the boundary."""
-    global _POOL_CACHE, _POOL_RULES
-    rules = resolve_selection(codes)
-    _POOL_RULES = _file_rules(rules)
-    _POOL_CACHE = (
-        LintCache(
-            Path(cache_dir) if cache_dir else None, enabled=enabled,
-            rules=rules,
-        )
-        if enabled
-        else None
-    )
-
-
-def _pool_worker(path_str: str) -> FileResult:
-    return _process_file(Path(path_str), _POOL_CACHE, _POOL_RULES)
-
-
-def _process_files(
-    files: list[Path],
-    cache: LintCache | None,
-    jobs: int,
-    rules: Sequence[LintRule],
-) -> list[FileResult]:
-    file_rules = _file_rules(rules)
-    if jobs > 1 and len(files) > 1:
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-
-            cache_dir = cache.cache_dir.as_posix() if cache else None
-            codes = tuple(r.code for r in rules)
-            with ProcessPoolExecutor(
-                max_workers=min(jobs, len(files)),
-                initializer=_pool_init,
-                initargs=(cache_dir, cache is not None, codes),
-            ) as pool:
-                return list(
-                    pool.map(_pool_worker, [f.as_posix() for f in files])
-                )
-        except (ImportError, OSError):  # no usable multiprocessing here
-            pass
-    return [_process_file(f, cache, file_rules) for f in files]
-
-
-def run_lint(
-    paths: Sequence[str | Path],
-    select: Iterable[str] | None = None,
-    *,
-    cache: LintCache | None = None,
-    jobs: int = 1,
-) -> LintReport:
-    """Lint files and directories; the full engine entry point.
-
-    Only the *selected* per-file rules run, and the cache is re-keyed
-    to that selection (plus each rule's source hash), so changing
-    ``--select`` re-analyzes while repeating a selection stays warm.
-    Project rules run only when selected, over a model rebuilt from
-    every file's summary.
-    """
-    rules = resolve_selection(select)
-    selected_codes = {r.code for r in rules}
-    project_rules = [r for r in rules if is_project_rule(r)]
-    if cache is not None:
-        cache.bind_rules(rules)
-
-    files = list(iter_python_files(paths))
-    results = _process_files(files, cache, jobs, rules)
-
-    report = LintReport(files=len(files))
-    for res in results:
-        report.parsed += 1 if res.parsed else 0
-        report.cached += 0 if res.parsed else 1
-        for d in res.diagnostics:
-            if d.code == "E0" or d.code in selected_codes:
-                report.diagnostics.append(d)
-
-    if project_rules:
-        from repro.lint.project import ModuleInfo, ProjectModel
-
-        model = ProjectModel(
-            [ModuleInfo.from_json(r.module) for r in results if r.module]
-        )
-        pragmas_by_path = {r.path: r.pragmas for r in results}
-        classic_rules = [r for r in project_rules if hasattr(r, "check_project")]
-        inter_rules = [r for r in project_rules if is_interprocedural(r)]
-        for rule in classic_rules:
-            for d in rule.check_project(model):
-                file_pragmas = pragmas_by_path.get(d.path, {})
-                if not is_disabled(file_pragmas, d.line, d.code, d.name):
-                    report.diagnostics.append(d)
-        if inter_rules:
-            _run_interprocedural(
-                model, inter_rules, results, pragmas_by_path, cache, report
-            )
-
-    report.diagnostics.sort()
-    return report
-
-
-def _run_interprocedural(
-    model: "Any",
-    inter_rules: Sequence[LintRule],
-    results: Sequence[FileResult],
-    pragmas_by_path: dict[str, dict[int, frozenset[str]]],
-    cache: LintCache | None,
-    report: LintReport,
-) -> None:
-    """Dispatch the call-graph rules (R13-R15) per module, through the
-    project-level cache.
-
-    A module's stored diagnostics are served warm when its own content
-    digest and the digest of **every module its analysis depended on**
-    (transitively reachable callees + package ``__init__`` re-exports)
-    are unchanged, and the module *set* is the same — adding or removing
-    a file can redirect name resolution anywhere, so it invalidates
-    everything.  Only invalid modules rebuild the
-    :class:`~repro.lint.interproc.InterAnalysis`; a fully-warm tree
-    skips the call graph entirely.
-    """
-    digest_by_path = {r.path: r.digest for r in results if r.digest}
-    digest_by_module = {
-        mod.module: digest_by_path[mod.path]
-        for mod in model.modules.values()
-        if mod.path in digest_by_path
-    }
-    module_set = sorted(model.modules)
-
-    stored = cache.load_project() if cache is not None else None
-    stored_modules = (stored or {}).get("modules", {})
-    same_set = (stored or {}).get("module_set") == module_set
-
-    def is_warm(name: str) -> bool:
-        if not same_set:
-            return False
-        rec = stored_modules.get(name)
-        if rec is None or rec.get("digest") != digest_by_module.get(name):
-            return False
-        return all(
-            digest_by_module.get(dep) == dep_digest
-            for dep, dep_digest in rec.get("deps", {}).items()
-        )
-
-    analysis = None
-    new_record: dict[str, Any] = {}
-    for name in module_set:
-        mod = model.modules[name]
-        if is_warm(name):
-            report.project_cached.append(mod.path)
-            rec = stored_modules[name]
-            report.diagnostics.extend(
-                diagnostic_from_json(d) for d in rec.get("diags", [])
-            )
-            new_record[name] = rec
-            continue
-        report.project_reanalyzed.append(mod.path)
-        if analysis is None:
-            from repro.lint.interproc import InterAnalysis
-
-            analysis = InterAnalysis(model)
-            deps = analysis.module_dependencies()
-        diags: list[Diagnostic] = []
-        for rule in inter_rules:
-            for d in rule.check_module(analysis, mod):
-                file_pragmas = pragmas_by_path.get(d.path, {})
-                if not is_disabled(file_pragmas, d.line, d.code, d.name):
-                    diags.append(d)
-        report.diagnostics.extend(diags)
-        new_record[name] = {
-            "digest": digest_by_module.get(name),
-            "deps": {
-                dep: digest_by_module[dep]
-                for dep in sorted(deps.get(name, ()))
-                if dep in digest_by_module
-            },
-            "diags": [diagnostic_to_json(d) for d in sorted(diags)],
-        }
-    if cache is not None:
-        cache.store_project(
-            {"module_set": module_set, "modules": new_record}
-        )
-
-
 def lint_file(
     path: str | Path, rules: Sequence[LintRule] | None = None
-) -> list[Diagnostic]:
-    """Run ``rules`` (default: all registered) over one file, uncached.
-
-    Project rules in ``rules`` contribute their (empty) per-file pass
-    only; use :func:`run_lint` for whole-program analysis.
-    """
+) -> FileResult:
+    """Lint one file: run the per-file rules among ``rules`` (default:
+    all registered) over it, drop the findings a pragma silences, and
+    summarize the module for the whole-program pass."""
     p = Path(path)
-    if rules is None:
-        rules = resolve_selection(None)
+    result = FileResult(path=p.as_posix())
     try:
         source = p.read_bytes().decode("utf-8")
-    except OSError as exc:
-        return [_parse_error(p, 1, 1, f"cannot read: {exc}")]
-    except UnicodeDecodeError as exc:
-        return [_parse_error(p, 1, 1, f"cannot decode as UTF-8: {exc.reason}")]
-    try:
         tree = ast.parse(source, filename=str(p))
+    except OSError as exc:
+        result.diagnostics = [_parse_error(p, 1, 1, f"cannot read: {exc}")]
+        return result
+    except UnicodeDecodeError as exc:
+        result.diagnostics = [
+            _parse_error(p, 1, 1, f"cannot decode as UTF-8: {exc.reason}")
+        ]
+        return result
     except SyntaxError as exc:
-        return [
+        result.diagnostics = [
             _parse_error(
                 p, exc.lineno or 1, (exc.offset or 0) + 1,
                 f"cannot parse: {exc.msg}",
             )
         ]
+        return result
     lines = source.splitlines()
+    result.pragmas = expand_decorator_pragmas(tree, parse_pragmas(lines))
     ctx = FileContext(path=p, source=source, tree=tree, lines=lines)
-    pragmas = expand_decorator_pragmas(tree, parse_pragmas(lines))
-    out: list[Diagnostic] = []
-    for rule in rules:
-        for d in rule.check(ctx):
-            if not is_disabled(pragmas, d.line, d.code, d.name):
-                out.append(d)
-    return sorted(out)
+    for rule in all_rules() if rules is None else rules:
+        check = getattr(rule, "check", None)
+        if check is None:
+            continue  # a project rule: runs over the model, not one file
+        result.diagnostics.extend(
+            d for d in check(ctx)
+            if not is_disabled(result.pragmas, d.line, d.code, d.name)
+        )
+    result.diagnostics.sort()
+    result.module = build_module_info(p, tree, lines)
+    return result
+
+
+def run_lint(
+    paths: Sequence[str | Path], select: Iterable[str] | None = None
+) -> LintReport:
+    """Lint files and directories: each selected per-file rule over every
+    file, then each selected project rule over the model of them all."""
+    rules = resolve_selection(select)
+    results = [lint_file(f, rules) for f in iter_python_files(paths)]
+    report = LintReport(files=len(results))
+    for res in results:
+        report.diagnostics.extend(res.diagnostics)
+    project_rules = [r for r in rules if is_project_rule(r)]
+    if project_rules:
+        model = ProjectModel([r.module for r in results if r.module is not None])
+        pragmas = {r.path: r.pragmas for r in results}
+        for rule in project_rules:
+            report.diagnostics.extend(
+                d for d in rule.check_project(model)  # type: ignore[attr-defined]
+                if not is_disabled(pragmas.get(d.path, {}), d.line, d.code, d.name)
+            )
+    report.diagnostics.sort()
+    return report
 
 
 def lint_paths(
-    paths: Sequence[str | Path],
-    select: Iterable[str] | None = None,
-    **kwargs: Any,
+    paths: Sequence[str | Path], select: Iterable[str] | None = None
 ) -> list[Diagnostic]:
     """Lint files and directories; returns all surviving diagnostics."""
-    return run_lint(paths, select, **kwargs).diagnostics
+    return run_lint(paths, select).diagnostics
 
 
 def format_diagnostic(diag: Diagnostic) -> str:
-    """Render one diagnostic as a CLI report line."""
-    return diag.render()
+    """Render one diagnostic as CLI report lines: the finding, then its
+    witness chain (R13/R15), one indented hop per line."""
+    return "\n".join(
+        [diag.render(), *(f"    {step.render()}" for step in diag.trace)]
+    )

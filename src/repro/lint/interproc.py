@@ -1,9 +1,9 @@
-"""Interprocedural analyses shared by the flow rules R13-R15.
+"""Interprocedural analyses shared by the flow rules R13 and R15.
 
-One :class:`InterAnalysis` is built per ``run_lint`` invocation (when
-any interprocedural rule is selected) and handed to each rule's
-``check_module``.  It owns the resolved call graph and computes, lazily
-and once:
+One :class:`InterAnalysis` is built per project model (on the first
+flow rule that asks, through :meth:`ProjectModel.analysis
+<repro.lint.project.ProjectModel.analysis>`).  It owns the resolved
+call graph and computes, lazily and once:
 
 - **determinism taint** — per function, the ambient-state sources
   (wall clock, environment, entropy, legacy ``random``) it transitively
@@ -18,8 +18,8 @@ and once:
   statements and raise-prone socket writes it can propagate to a
   caller, stopping at broad ``except`` boundaries (R15).
 
-Witness hops reconstruct full chains as :class:`TraceStep` tuples for
-``--explain`` and SARIF ``codeFlows``.
+Witness hops reconstruct full chains as :class:`TraceStep` tuples,
+printed under each finding.
 """
 
 from __future__ import annotations
@@ -268,9 +268,3 @@ class InterAnalysis:
             self.kernel_summary(), start, self._KERNEL_LABEL,
             "kernel function",
         )
-
-    # -- cache keying ---------------------------------------------------
-
-    def module_dependencies(self) -> dict[str, set[str]]:
-        """Transitive module deps, for call-graph-aware cache keys."""
-        return self.graph.module_dependencies()

@@ -7,7 +7,7 @@ Syntax, on the line the diagnostic is reported at::
 ``disable=`` takes a comma-separated list of rule codes (``R2``) or
 names (``unit-safety``); matching is case-insensitive.  ``disable=all``
 silences every rule on that line.  Free-text justification may follow
-the list (``# reprolint: disable=R2,R3 measured fast``) — only the
+the list (``# reprolint: disable=R1,R2 measured fast``) — only the
 first whitespace-delimited token of each comma-separated chunk is a
 rule key, so trailing words never silence extra rules by accident.
 

@@ -1,8 +1,8 @@
 """Whole-program semantic model for the project-scoped lint rules.
 
-The per-file rules (R1-R5) each walk one AST; the flow rules (R6-R8)
-need to see *across* call sites: who calls whom, with which arguments,
-against which signature.  This module builds that view:
+The per-file rules each walk one AST; the flow rules (R6, R11, R13,
+R15) need to see *across* call sites: who calls whom, with which
+arguments, against which signature.  This module builds that view:
 
 - a :class:`ModuleInfo` per linted file — the module's import bindings,
   its function/method signatures, and a summary of every call site in
@@ -13,29 +13,26 @@ against which signature.  This module builds that view:
   the set of functions that can reach a randomness sink
   (``Distribution.sample``, ``numpy.random.default_rng``) through
   resolved calls or function references.
-
-Everything here is a plain-data summary (dataclasses of str/int/bool),
-deliberately JSON-round-trippable so the incremental cache
-(:mod:`repro.lint.cache`) can persist per-file summaries and rebuild
-the whole-program model without re-parsing an unchanged tree.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from repro.lint.astutil import call_name, dotted_name
 from repro.lint.cfg import CFG, build_cfg
 from repro.lint.pragmas import clock_ok_annotations
 
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.lint.interproc import InterAnalysis
+
 __all__ = [
     "ArgSummary",
     "CallSite",
     "FunctionInfo",
-    "KNOB_NAMES",
     "ModuleInfo",
     "ProjectModel",
     "SEED_PARAM_NAMES",
@@ -98,7 +95,6 @@ class Param:
 
     name: str
     kind: str  # "pos" (positional-or-keyword / positional-only) or "kw"
-    has_default: bool = False
 
 
 @dataclass
@@ -116,22 +112,15 @@ class FunctionInfo:
     seed_shadows: list[tuple[str, int, int]] = field(default_factory=list)
     samples_directly: bool = False
     is_test: bool = False
-    # (knob, lineno, col, hazard) for fast-path branches with a missing
-    # or raising reference branch — R14's raw material
-    knob_hazards: list[tuple[str, int, int, str]] = field(default_factory=list)
     # line numbers of raise statements outside any enclosing try
     raises: list[int] = field(default_factory=list)
     # control-flow graph; only built for files in the envelope-contract
-    # scope (see :func:`wants_cfg`) to keep cache entries small
+    # scope (see :func:`wants_cfg`)
     cfg: CFG | None = None
 
     @property
     def is_public(self) -> bool:
         return not self.name.startswith("_")
-
-    def param_names(self) -> list[str]:
-        """All parameter names, in signature order."""
-        return [p.name for p in self.params]
 
     def seed_params(self) -> set[str]:
         """Parameters that carry the reproducibility seed, if any."""
@@ -154,10 +143,6 @@ class ModuleInfo:
     path: str  # posix path the file was linted at
     imports: dict[str, str] = field(default_factory=dict)  # alias -> target
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
-    exports: list[str] = field(default_factory=list)  # literal __all__
-    strings: list[str] = field(default_factory=list)  # every str constant
-    # top-level NAME = "string constant" bindings
-    constants: dict[str, str] = field(default_factory=dict)
     # calls at module level (outside any function body) — the envelope
     # rule needs them because module-level prints bypass every handler
     toplevel_calls: list[CallSite] = field(default_factory=list)
@@ -166,68 +151,6 @@ class ModuleInfo:
     attr_types: dict[str, dict[str, str]] = field(default_factory=dict)
     # 1-based line -> justification of a ``# reprolint: clock-ok=`` pragma
     clock_ok: dict[int, str] = field(default_factory=dict)
-
-    # -- serialization (for the incremental cache) ---------------------
-
-    def to_json(self) -> dict[str, Any]:
-        """Plain-data form for the incremental cache."""
-        return asdict(self)
-
-    @classmethod
-    def from_json(cls, data: dict[str, Any]) -> "ModuleInfo":
-        functions = {}
-        for qual, fn in data.get("functions", {}).items():
-            functions[qual] = FunctionInfo(
-                name=fn["name"],
-                qualname=fn["qualname"],
-                lineno=fn["lineno"],
-                col=fn["col"],
-                params=[Param(**p) for p in fn.get("params", [])],
-                calls=[_call_site_from_json(c) for c in fn.get("calls", [])],
-                seed_shadows=[tuple(s) for s in fn.get("seed_shadows", [])],
-                samples_directly=fn.get("samples_directly", False),
-                is_test=fn.get("is_test", False),
-                knob_hazards=[tuple(h) for h in fn.get("knob_hazards", [])],
-                raises=list(fn.get("raises", [])),
-                cfg=CFG.from_json(fn["cfg"]) if fn.get("cfg") else None,
-            )
-        return cls(
-            module=data["module"],
-            path=data["path"],
-            imports=dict(data.get("imports", {})),
-            functions=functions,
-            exports=list(data.get("exports", [])),
-            strings=list(data.get("strings", [])),
-            constants=dict(data.get("constants", {})),
-            toplevel_calls=[
-                _call_site_from_json(c)
-                for c in data.get("toplevel_calls", [])
-            ],
-            attr_types={
-                cls: dict(attrs)
-                for cls, attrs in data.get("attr_types", {}).items()
-            },
-            clock_ok={
-                int(line): why
-                for line, why in data.get("clock_ok", {}).items()
-            },
-        )
-
-
-def _call_site_from_json(c: dict[str, Any]) -> CallSite:
-    return CallSite(
-        callee=c["callee"],
-        lineno=c["lineno"],
-        col=c["col"],
-        args=tuple(ArgSummary(**a) for a in c.get("args", [])),
-        keywords=tuple(
-            (k, ArgSummary(**a)) for k, a in c.get("keywords", [])
-        ),
-        has_star_args=c.get("has_star_args", False),
-        has_star_kwargs=c.get("has_star_kwargs", False),
-        guard=c.get("guard", ""),
-        in_handler=c.get("in_handler", False),
-    )
 
 
 # ----------------------------------------------------------------------
@@ -426,89 +349,6 @@ class _FunctionScanner(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-# Fast-path knobs whose gating branches R14 audits: each selects a
-# bit-identical accelerated implementation with a reference escape hatch.
-KNOB_NAMES = frozenset({"use_disk_cache", "vectorized"})
-
-
-def _knob_test(expr: ast.expr) -> tuple[str, bool] | None:
-    """``(knob, positive)`` when ``expr`` tests a fast-path knob:
-    a bare name, ``self.<knob>``, ``not <knob-test>``, or the first
-    operand of an ``and`` chain (``if vectorized and n > 1:``)."""
-    if isinstance(expr, ast.BoolOp) and isinstance(expr.op, ast.And) and expr.values:
-        return _knob_test(expr.values[0])
-    if isinstance(expr, ast.UnaryOp) and isinstance(expr.op, ast.Not):
-        inner = _knob_test(expr.operand)
-        return (inner[0], not inner[1]) if inner is not None else None
-    if isinstance(expr, ast.Name) and expr.id in KNOB_NAMES:
-        return expr.id, True
-    if (
-        isinstance(expr, ast.Attribute)
-        and isinstance(expr.value, ast.Name)
-        and expr.value.id == "self"
-        and expr.attr in KNOB_NAMES
-    ):
-        return expr.attr, True
-    return None
-
-
-def _raising_branch(body: list[ast.stmt]) -> bool:
-    """A branch that only raises (possibly after logging expressions)."""
-    return bool(body) and isinstance(body[-1], ast.Raise) and all(
-        isinstance(s, (ast.Raise, ast.Expr)) for s in body
-    )
-
-
-def _knob_hazards(body: list[ast.stmt]) -> list[tuple[str, int, int, str]]:
-    """Fast-path gates with a missing or raising reference branch.
-
-    ``no-slow-path``: ``if <knob>:`` in tail position whose body ends in
-    Return/Raise with no ``else`` — turning the knob off falls off the
-    function instead of reaching reference code.  ``raising-slow-path``:
-    the knob-off branch (``else:`` of a positive test, or the body of
-    ``if not <knob>:``) consists solely of a ``raise``.
-    """
-    out: list[tuple[str, int, int, str]] = []
-
-    def scan(stmts: list[ast.stmt], tail: bool) -> None:
-        for i, stmt in enumerate(stmts):
-            last = i == len(stmts) - 1
-            if isinstance(stmt, ast.If):
-                kt = _knob_test(stmt.test)
-                if kt is not None:
-                    knob, positive = kt
-                    where = (knob, stmt.lineno, stmt.col_offset)
-                    if positive and _raising_branch(stmt.orelse):
-                        out.append((*where, "raising-slow-path"))
-                    elif (
-                        positive
-                        and not stmt.orelse
-                        and tail
-                        and last
-                        and stmt.body
-                        and isinstance(stmt.body[-1], (ast.Return, ast.Raise))
-                    ):
-                        out.append((*where, "no-slow-path"))
-                    elif not positive and _raising_branch(stmt.body):
-                        out.append((*where, "raising-slow-path"))
-                scan(stmt.body, tail and last)
-                scan(stmt.orelse, tail and last)
-            elif isinstance(stmt, (ast.For, ast.AsyncFor, ast.While)):
-                scan(stmt.body, False)
-                scan(stmt.orelse, False)
-            elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-                scan(stmt.body, tail and last)
-            elif isinstance(stmt, ast.Try):
-                scan(stmt.body, False)
-                for handler in stmt.handlers:
-                    scan(handler.body, False)
-                scan(stmt.orelse, False)
-                scan(stmt.finalbody, False)
-
-    scan(body, True)
-    return out
-
-
 def _collect_attr_types(tree: ast.Module) -> dict[str, dict[str, str]]:
     """Per class qualname, one-level receiver types:
     ``self.<attr> = Ctor(...)`` assignments in its methods (the ctor
@@ -562,13 +402,8 @@ def _function_info(
 ) -> FunctionInfo:
     qualname = f"{qualprefix}{node.name}"
     args = node.args
-    params: list[Param] = []
-    positional = [*args.posonlyargs, *args.args]
-    n_without_default = len(positional) - len(args.defaults)
-    for i, a in enumerate(positional):
-        params.append(Param(a.arg, "pos", has_default=i >= n_without_default))
-    for a, d in zip(args.kwonlyargs, args.kw_defaults):
-        params.append(Param(a.arg, "kw", has_default=d is not None))
+    params = [Param(a.arg, "pos") for a in (*args.posonlyargs, *args.args)]
+    params += [Param(a.arg, "kw") for a in args.kwonlyargs]
     info = FunctionInfo(
         name=node.name,
         qualname=qualname,
@@ -581,7 +416,6 @@ def _function_info(
     scanner = _FunctionScanner(info)
     for stmt in node.body:
         scanner.visit(stmt)
-    info.knob_hazards = _knob_hazards(node.body)
     return info
 
 
@@ -602,19 +436,12 @@ def _walk_definitions(
             )
 
 
-def build_module_info(
-    path: Path, tree: ast.Module, lines: list[str] | None = None
-) -> ModuleInfo:
-    """Summarize one parsed file for the whole-program pass.
-
-    ``lines`` (when available) feeds the ``# reprolint: clock-ok=``
-    pragma map — source is optional so summaries can also be rebuilt
-    from cached JSON without the file text.
-    """
+def build_module_info(path: Path, tree: ast.Module, lines: list[str]) -> ModuleInfo:
+    """Summarize one parsed file for the whole-program pass; ``lines``
+    feeds the ``# reprolint: clock-ok=`` pragma map."""
     module = module_name_for(path)
     info = ModuleInfo(module=module, path=path.as_posix())
-    if lines is not None:
-        info.clock_ok = clock_ok_annotations(lines)
+    info.clock_ok = clock_ok_annotations(lines)
     info.attr_types = _collect_attr_types(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -635,26 +462,6 @@ def build_module_info(
                     continue
                 bound = alias.asname or alias.name
                 info.imports[bound] = f"{base}.{alias.name}" if base else alias.name
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            info.strings.append(node.value)
-    for stmt in tree.body:
-        if isinstance(stmt, ast.Assign):
-            names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
-            if (
-                "__all__" in names
-                and isinstance(stmt.value, (ast.List, ast.Tuple))
-            ):
-                info.exports = [
-                    e.value
-                    for e in stmt.value.elts
-                    if isinstance(e, ast.Constant) and isinstance(e.value, str)
-                ]
-            if (
-                len(names) == 1
-                and isinstance(stmt.value, ast.Constant)
-                and isinstance(stmt.value.value, str)
-            ):
-                info.constants[names[0]] = stmt.value.value
     for fn in _walk_definitions(tree.body, qualprefix="", with_cfg=wants_cfg(path)):
         info.functions[fn.qualname] = fn
     info.toplevel_calls = _toplevel_calls(tree)
@@ -692,7 +499,7 @@ class ProjectModel:
             for fn in mod.functions.values():
                 self._function_index[f"{mod.module}.{fn.qualname}"] = (mod, fn)
         self._sampling: set[str] | None = None
-        self._call_graph: Any = None
+        self._analysis: InterAnalysis | None = None
 
     # -- lookups -------------------------------------------------------
 
@@ -705,21 +512,6 @@ class ProjectModel:
     def function(self, fqid: str) -> tuple[ModuleInfo, FunctionInfo] | None:
         """Look up a function by fully-qualified id, if present."""
         return self._function_index.get(fqid)
-
-    def find_module(self, suffix: str) -> ModuleInfo | None:
-        """Module whose dotted name is ``suffix`` or ends with ``.suffix``."""
-        for name, mod in sorted(self.modules.items()):
-            if name == suffix or name.endswith(f".{suffix}"):
-                return mod
-        return None
-
-    def modules_matching(self, segment: str) -> list[ModuleInfo]:
-        """Modules whose dotted name contains ``segment`` as a component."""
-        return [
-            m
-            for name, m in sorted(self.modules.items())
-            if segment in name.split(".")
-        ]
 
     # -- name resolution -----------------------------------------------
 
@@ -852,16 +644,16 @@ class ProjectModel:
                 return resolved
         return None
 
-    # -- the resolved call graph ---------------------------------------
+    # -- interprocedural facts -----------------------------------------
 
-    def call_graph(self):
-        """The resolved project-wide call graph, built once and cached
-        (see :mod:`repro.lint.callgraph`)."""
-        if self._call_graph is None:
-            from repro.lint.callgraph import build_call_graph
+    def analysis(self) -> InterAnalysis:
+        """The call graph and its reachability summaries, built once and
+        shared by every flow rule (see :mod:`repro.lint.interproc`)."""
+        if self._analysis is None:
+            from repro.lint.interproc import InterAnalysis
 
-            self._call_graph = build_call_graph(self)
-        return self._call_graph
+            self._analysis = InterAnalysis(self)
+        return self._analysis
 
     # -- sampling closure ----------------------------------------------
 

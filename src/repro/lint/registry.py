@@ -1,57 +1,30 @@
 """Rule registry.
 
-Two kinds of rule share one registry:
+A rule is a class with ``code`` (``"R1"``..), ``name`` (pragma-friendly
+slug) and ``description``, plus one of two checks:
 
-- **per-file rules** (R1-R5, R9, R10, R12) expose ``check(ctx)`` over a
+- **per-file rules** (R1, R2, R9, R10, R12) expose ``check(ctx)`` over a
   parsed :class:`~repro.lint.engine.FileContext`;
-- **project rules** (R6-R8, R11) expose ``check_project(model)`` over
-  the whole-program :class:`~repro.lint.project.ProjectModel` built
-  from every linted file;
-- **interprocedural rules** (R13-R15) expose
-  ``check_module(analysis, mod)`` over one module against the shared
-  :class:`~repro.lint.interproc.InterAnalysis` — per-module dispatch is
-  what lets the incremental cache re-lint only a changed module and its
-  transitive callers.
+- **project rules** (R6, R11, R13, R15) expose ``check_project(model)``
+  over the whole-program :class:`~repro.lint.project.ProjectModel`
+  built from every linted file.
 
-Either way a rule is a class with ``code`` (``"R1"``..), ``name``
-(pragma-friendly slug) and ``description``; registration happens at
-import time via the :func:`register` decorator, and importing
-:mod:`repro.lint.rules` pulls in every built-in rule.
+Registration happens at import time via the :func:`register`
+decorator, and importing :mod:`repro.lint.rules` pulls in every
+built-in rule.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Iterator, Protocol, runtime_checkable
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.lint.diagnostics import Diagnostic
-    from repro.lint.engine import FileContext
-    from repro.lint.project import ProjectModel
+from typing import Iterable, Protocol
 
 
 class LintRule(Protocol):
-    """Interface every per-file rule satisfies."""
+    """What every rule carries; the check method depends on its kind."""
 
     code: str
     name: str
     description: str
-
-    def check(self, ctx: "FileContext") -> Iterator["Diagnostic"]:
-        """Yield diagnostics for one parsed file."""
-        ...
-
-
-@runtime_checkable
-class ProjectRule(Protocol):
-    """Interface every whole-program rule satisfies."""
-
-    code: str
-    name: str
-    description: str
-
-    def check_project(self, model: "ProjectModel") -> Iterator["Diagnostic"]:
-        """Yield diagnostics over the cross-module semantic model."""
-        ...
 
 
 _REGISTRY: dict[str, LintRule] = {}
@@ -69,15 +42,9 @@ def register(cls: type) -> type:
 
 
 def is_project_rule(rule: object) -> bool:
-    """True for whole-program rules (``check_project`` or
-    ``check_module``), False for per-file rules (``check`` only)."""
-    return hasattr(rule, "check_project") or hasattr(rule, "check_module")
-
-
-def is_interprocedural(rule: object) -> bool:
-    """True for call-graph rules dispatched per module
-    (``check_module(analysis, mod)``)."""
-    return hasattr(rule, "check_module")
+    """True for whole-program rules (``check_project``), False for
+    per-file rules (``check``)."""
+    return hasattr(rule, "check_project")
 
 
 def _load_builtin_rules() -> None:
@@ -86,7 +53,7 @@ def _load_builtin_rules() -> None:
 
 
 def all_rules() -> list[LintRule]:
-    """Every registered rule, ordered by code (R1, R2, ... R10)."""
+    """Every registered rule, ordered by code (R1, R2, ... R15)."""
     _load_builtin_rules()
     unique = {id(r): r for r in _REGISTRY.values()}
     return sorted(unique.values(), key=lambda r: (len(r.code), r.code))

@@ -8,37 +8,25 @@ decorator at import time).
 from __future__ import annotations
 
 from repro.lint.rules import (  # noqa: F401  (imported for registration)
-    api_hygiene,
     determinism,
     determinism_taint,
     envelope_conformance,
-    float_compare,
-    knob_parity,
     lock_discipline,
-    registry_conformance,
     resource_lifecycle,
     seed_flow,
     service_exceptions,
-    test_discipline,
     thread_hygiene,
-    unit_propagation,
     unit_safety,
 )
 
 __all__ = [
-    "api_hygiene",
     "determinism",
     "determinism_taint",
     "envelope_conformance",
-    "float_compare",
-    "knob_parity",
     "lock_discipline",
-    "registry_conformance",
     "resource_lifecycle",
     "seed_flow",
     "service_exceptions",
-    "test_discipline",
     "thread_hygiene",
-    "unit_propagation",
     "unit_safety",
 ]

@@ -20,11 +20,11 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
+from repro.lint.astutil import call_name
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.engine import FileContext
 from repro.lint.pragmas import clock_ok_annotations
 from repro.lint.registry import register
-from repro.lint.rules.common import call_name
 
 # Module-level samplers / global-state entry points of numpy.random.
 # Constructors of the explicit-seed API (default_rng, Generator,

@@ -19,8 +19,8 @@ a source — resolution only classifies stdlib ``time``/``os``/``uuid``/
 module.  A site annotated ``# reprolint: clock-ok=<reason>`` is excused
 before propagation, so nothing downstream inherits it either.
 
-Every finding carries a witness chain (``--explain`` text, SARIF
-``codeFlows``) naming each function from the flagged one to the read.
+Every finding carries a witness chain, printed under it, naming each
+function from the flagged one to the read.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from repro.lint.interproc import (
     in_kernel_tier,
     is_test_module,
 )
-from repro.lint.project import ModuleInfo
+from repro.lint.project import ModuleInfo, ProjectModel
 from repro.lint.registry import register
 
 __all__ = ["DeterminismTaintRule"]
@@ -52,20 +52,16 @@ class DeterminismTaintRule:
         "(clock-ok pragma exempts intentional timing)"
     )
 
-    def check(self, ctx) -> Iterator[Diagnostic]:  # pragma: no cover
-        """Per-file pass: empty (interprocedural rule, see check_module)."""
-        return iter(())
-
-    def check_module(
-        self, analysis: InterAnalysis, mod: ModuleInfo
-    ) -> Iterator[Diagnostic]:
-        """Emit kernel-taint and tainted-driver findings for one module."""
-        if is_test_module(mod):
-            return
-        if in_kernel_tier(mod):
-            yield from self._check_kernel(analysis, mod)
-        else:
-            yield from self._check_driver(analysis, mod)
+    def check_project(self, model: ProjectModel) -> Iterator[Diagnostic]:
+        """Emit kernel-taint and tainted-driver findings, module by module."""
+        analysis = model.analysis()
+        for mod in model.modules.values():
+            if is_test_module(mod):
+                continue
+            if in_kernel_tier(mod):
+                yield from self._check_kernel(analysis, mod)
+            else:
+                yield from self._check_driver(analysis, mod)
 
     # -- kernel arm: transitive taint ----------------------------------
 

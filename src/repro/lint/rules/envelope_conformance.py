@@ -8,10 +8,8 @@ goes to stderr.  R11 proves it statically over the
 
 - **stray stdout** — any ``print(...)`` that does not route to stderr
   (``file=sys.stderr``), and any ``*.stdout.write(...)``, is an error;
-  the emission points are :func:`~repro.service.envelope.emit` /
-  :func:`~repro.service.envelope.emit_raw`, nothing else.  Bare
-  single-argument prints carry a mechanical ``--fix`` to
-  :func:`~repro.service.envelope.hlog` (plus its import).
+  the emission point is :func:`~repro.service.envelope.emit`, nothing
+  else (human lines go through :func:`~repro.service.envelope.hlog`).
 - **exactly-one envelope** — every ``cmd_*`` subcommand handler must
   emit exactly once on *every* return path, including exception edges.
   This is a path property, so it runs over the per-function CFG
@@ -30,20 +28,16 @@ from pathlib import PurePosixPath
 from typing import Iterator
 
 from repro.lint.cfg import BlockEvent, emission_bounds
-from repro.lint.diagnostics import Diagnostic, Edit, Fix
+from repro.lint.diagnostics import Diagnostic
 from repro.lint.project import CallSite, FunctionInfo, ModuleInfo, ProjectModel
 from repro.lint.registry import register
 
 __all__ = ["EnvelopeConformanceRule", "handler_emission_bounds"]
 
-#: The only callables allowed to write stdout in the envelope scope.
-_EMITTERS = frozenset(
-    {"repro.service.envelope.emit", "repro.service.envelope.emit_raw"}
-)
+#: The only callable allowed to write stdout in the envelope scope.
+_EMITTER = "repro.service.envelope.emit"
 
 _ALLOWED_EXIT_CODES = frozenset({0, 1, 2})
-
-_HLOG_IMPORT = "from repro.service.envelope import hlog"
 
 
 def _in_scope(mod: ModuleInfo) -> bool:
@@ -55,7 +49,7 @@ def _in_scope(mod: ModuleInfo) -> bool:
 
 
 def _is_emit_call(model: ProjectModel, mod: ModuleInfo, callee: str) -> bool:
-    return model.resolve(mod, callee) in _EMITTERS
+    return model.resolve(mod, callee) == _EMITTER
 
 
 def _literal_code(value: float | None) -> int | None:
@@ -101,14 +95,10 @@ class EnvelopeConformanceRule:
     name = "envelope-conformance"
     description = (
         "in cli.py and service/, stdout flows only through "
-        "envelope.emit/emit_raw, every cmd_* handler emits exactly one "
+        "envelope.emit, every cmd_* handler emits exactly one "
         "envelope on every return path, and literal exit codes come "
         "from {0, 1, 2}"
     )
-
-    def check(self, ctx) -> Iterator[Diagnostic]:  # pragma: no cover
-        """Per-file pass: empty (whole-program rule, see check_project)."""
-        return iter(())
 
     def check_project(self, model: ProjectModel) -> Iterator[Diagnostic]:
         """Check stdout routing, handler emission bounds and exit codes
@@ -150,9 +140,7 @@ class EnvelopeConformanceRule:
                 call.col,
                 f"'{call.callee}(...)' writes stdout in the envelope "
                 "scope; stdout carries exactly one JSON document — use "
-                "hlog() for human lines or emit()/emit_raw() for the "
-                "document",
-                fix=self._print_fix(call),
+                "hlog() for human lines or emit() for the document",
             )
         elif call.callee.endswith("stdout.write"):
             yield self._diag(
@@ -160,24 +148,8 @@ class EnvelopeConformanceRule:
                 call.lineno,
                 call.col,
                 f"'{call.callee}(...)' bypasses the envelope; stdout is "
-                "written only by emit()/emit_raw()",
+                "written only by emit()",
             )
-
-    def _print_fix(self, call: CallSite) -> Fix | None:
-        """``print(x)`` -> ``hlog(x)``: only the bare one-argument form
-        is mechanical (hlog takes a single message)."""
-        if (
-            call.callee != "print"
-            or len(call.args) != 1
-            or call.keywords
-            or call.has_star_args
-            or call.has_star_kwargs
-        ):
-            return None
-        return Fix(
-            edits=(Edit(call.lineno, call.col, call.col + 5, "hlog"),),
-            add_imports=(_HLOG_IMPORT,),
-        )
 
     # -- exactly-one envelope per handler ------------------------------
 
@@ -210,7 +182,7 @@ class EnvelopeConformanceRule:
                     fn.lineno,
                     fn.col,
                     f"subcommand handler '{fn.qualname}' {detail}; every "
-                    "path must call emit()/emit_raw() exactly once",
+                    "path must call emit() exactly once",
                 )
 
         if fn.name.startswith("cmd_") or fn.name == "main":
@@ -264,7 +236,6 @@ class EnvelopeConformanceRule:
         lineno: int,
         col: int,
         message: str,
-        fix: Fix | None = None,
     ) -> Diagnostic:
         return Diagnostic(
             path=mod.path,
@@ -273,5 +244,4 @@ class EnvelopeConformanceRule:
             code=self.code,
             name=self.name,
             message=message,
-            fix=fix,
         )

@@ -29,10 +29,10 @@ import ast
 from dataclasses import dataclass
 from typing import Iterator
 
+from repro.lint.astutil import call_name
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.pragmas import guarded_by_annotations, single_threaded_lines
 from repro.lint.registry import register
-from repro.lint.rules.common import call_name
 
 _LOCK_FACTORY_TAILS = frozenset({"Lock", "RLock"})
 _SINGLE_THREADED_NAMES = frozenset({"__init__", "__del__", "__post_init__"})

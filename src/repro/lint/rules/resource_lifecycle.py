@@ -29,9 +29,9 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
+from repro.lint.astutil import call_name
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.registry import register
-from repro.lint.rules.common import call_name
 
 _POOL_TAILS = frozenset({"ThreadPoolExecutor", "ProcessPoolExecutor", "Thread"})
 _RELEASE_TAILS = frozenset(

@@ -73,9 +73,6 @@ class SeedFlowRule:
         "unseeded generators, dropped seeds, or constant shadows"
     )
 
-    def check(self, ctx) -> Iterator[Diagnostic]:  # pragma: no cover
-        return iter(())  # whole-program rule; see check_project
-
     def check_project(self, model: ProjectModel) -> Iterator[Diagnostic]:
         sampling = model.sampling_functions()
         for mod in sorted(model.modules.values(), key=lambda m: m.path):

@@ -30,7 +30,7 @@ from typing import Iterator
 
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.interproc import InterAnalysis, is_test_module
-from repro.lint.project import ModuleInfo
+from repro.lint.project import ModuleInfo, ProjectModel
 from repro.lint.registry import register
 
 __all__ = ["ServiceExceptionContractRule"]
@@ -52,16 +52,16 @@ class ServiceExceptionContractRule:
         "repro/v1 error envelope or failed-job record"
     )
 
-    def check(self, ctx) -> Iterator[Diagnostic]:  # pragma: no cover
-        """Per-file pass: empty (interprocedural rule, see check_module)."""
-        return iter(())
+    def check_project(self, model: ProjectModel) -> Iterator[Diagnostic]:
+        """Emit exception-escape findings for every service module."""
+        analysis = model.analysis()
+        for mod in model.modules.values():
+            if _in_scope(mod) and not is_test_module(mod):
+                yield from self._check_module(analysis, mod)
 
-    def check_module(
+    def _check_module(
         self, analysis: InterAnalysis, mod: ModuleInfo
     ) -> Iterator[Diagnostic]:
-        """Emit exception-escape findings for one service module."""
-        if not _in_scope(mod) or is_test_module(mod):
-            return
         for fn in mod.functions.values():
             if fn.is_test:
                 continue

@@ -7,13 +7,12 @@ exposed to:
   explicit ``daemon=`` inherits the creating thread's flag: a worker
   spawned from a daemon thread silently becomes killable mid-write,
   one spawned from the main thread silently blocks interpreter exit.
-  The decision must be written down; the ``--fix`` engine appends
-  ``daemon=False`` (the explicit spelling of the main-thread default).
+  The decision must be written down.
 - **swallowed worker failure** — a broad ``except Exception`` inside a
   ``while`` loop whose handler neither raises nor calls anything (just
   ``continue``/assignment) erases job failures: the loop spins on and
-  the job is never marked failed.  (R4 already flags bare ``except:``
-  and pass-only handlers; R12 covers the continue-style loop variant.)
+  the job is never marked failed.  (ruff ``E722`` already flags bare
+  ``except:``; R12 covers the continue-style loop variant.)
 - **unbounded shutdown waits** — ``join()``/``wait()``/``get()`` with
   no timeout inside a method named ``shutdown``/``stop``/``close``/
   ``terminate``/``drain`` turns one stuck worker into a daemon that
@@ -27,31 +26,13 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.diagnostics import Diagnostic, Edit, Fix
+from repro.lint.astutil import call_name
+from repro.lint.diagnostics import Diagnostic
 from repro.lint.registry import register
-from repro.lint.rules.common import call_name
 
 _SHUTDOWN_NAMES = frozenset({"shutdown", "stop", "close", "terminate", "drain"})
 _WAIT_TAILS = frozenset({"join", "wait", "get"})
 _BROAD_EXCEPTIONS = frozenset({"Exception", "BaseException"})
-
-
-def _daemon_fix(ctx, node: ast.Call) -> Fix | None:
-    """Append ``daemon=False`` before the closing paren (single-line
-    calls only; multi-line or trailing-comma spellings need a human)."""
-    if node.end_lineno != node.lineno or node.end_col_offset is None:
-        return None
-    line = ctx.lines[node.lineno - 1]
-    end = node.end_col_offset
-    if end > len(line) or end < 1 or line[end - 1] != ")":
-        return None
-    inside = line[node.col_offset:end - 1]
-    open_paren = inside.find("(")
-    bare = open_paren >= 0 and not inside[open_paren + 1 :].strip()
-    if inside.rstrip().endswith(","):
-        return None
-    text = "daemon=False)" if bare else ", daemon=False)"
-    return Fix(edits=(Edit(node.lineno, end - 1, end, text),))
 
 
 def _walk_local(root: ast.AST) -> Iterator[ast.AST]:
@@ -68,7 +49,7 @@ def _walk_local(root: ast.AST) -> Iterator[ast.AST]:
 
 def _is_broad_handler(handler: ast.ExceptHandler) -> bool:
     if handler.type is None:
-        return False  # bare except: R4's territory
+        return False  # bare except: ruff E722's territory
     names = []
     if isinstance(handler.type, ast.Name):
         names = [handler.type.id]
@@ -82,7 +63,8 @@ def _handler_swallows(handler: ast.ExceptHandler) -> bool:
     for node in ast.walk(handler):
         if isinstance(node, (ast.Raise, ast.Call)):
             return False
-    # pass/Ellipsis-only handlers are R4's finding, not ours
+    # pass/Ellipsis-only handlers are not the pattern: the loop variant
+    # this arm targets does something (continue, an assignment)
     interesting = [
         stmt
         for stmt in handler.body
@@ -125,21 +107,12 @@ class ThreadHygieneRule:
             return  # **kwargs may carry daemon=
         if any(kw.arg == "daemon" for kw in node.keywords):
             return
-        diag = ctx.diag(
+        yield ctx.diag(
             node,
             self,
             f"'{callee}(...)' without an explicit daemon= flag inherits "
             "the spawning thread's daemonness; decide and write it down "
             "(daemon=False outlives main, daemon=True dies with it)",
-        )
-        yield Diagnostic(
-            path=diag.path,
-            line=diag.line,
-            col=diag.col,
-            code=diag.code,
-            name=diag.name,
-            message=diag.message,
-            fix=_daemon_fix(ctx, node),
         )
 
     def _check_worker_loop(self, ctx, loop: ast.While) -> Iterator[Diagnostic]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.diagnostics import Diagnostic, Edit, Fix
+from repro.lint.diagnostics import Diagnostic
 from repro.lint.engine import FileContext
 from repro.lint.registry import register
 
@@ -181,51 +181,9 @@ class UnitSafetyRule:
             if key in seen:
                 continue
             seen.add(key)
-            suggestion = _suggest(float(v))
-            diag = ctx.diag(
+            yield ctx.diag(
                 sub,
                 self,
                 f"bare literal {v:g} in time-valued position "
-                f"'{position}'; write {suggestion} from repro.units",
+                f"'{position}'; write {_suggest(float(v))} from repro.units",
             )
-            fix = self._build_fix(ctx, sub, suggestion)
-            if fix is not None:
-                diag = Diagnostic(
-                    path=diag.path,
-                    line=diag.line,
-                    col=diag.col,
-                    code=diag.code,
-                    name=diag.name,
-                    message=diag.message,
-                    fix=fix,
-                )
-            yield diag
-
-    @staticmethod
-    def _build_fix(
-        ctx: FileContext, sub: ast.Constant, suggestion: str
-    ) -> Fix | None:
-        """Mechanical replacement of the literal token with the units
-        expression — IEEE-exact, so results cannot change."""
-        end_col = getattr(sub, "end_col_offset", None)
-        end_line = getattr(sub, "end_lineno", sub.lineno)
-        if end_col is None or end_line != sub.lineno:
-            return None
-        line = ctx.lines[sub.lineno - 1] if sub.lineno <= len(ctx.lines) else ""
-        text = suggestion
-        if " " in suggestion:
-            # `120 ** 2` must not become `2 * MINUTE ** 2`: parenthesize
-            # unless the neighbors make the bare product unambiguous.
-            left = line[: sub.col_offset].rstrip()[-1:]
-            right = line[end_col:].lstrip()[:1]
-            safe_left = left in ("", "(", "[", ",", "=", ":")
-            safe_right = right in ("", ")", "]", ",", ":", "#")
-            if not (safe_left and safe_right):
-                text = f"({suggestion})"
-        unit = suggestion.split()[-1]
-        if unit not in ("DAY", "HOUR", "MINUTE"):
-            return None
-        return Fix(
-            edits=(Edit(sub.lineno, sub.col_offset, end_col, text),),
-            add_units_import=(unit,),
-        )

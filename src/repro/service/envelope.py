@@ -24,10 +24,6 @@ On failure ``ok`` is false, ``data`` may be null, and ``error`` holds
 - ``2`` — usage or internal error (bad arguments, unreachable daemon,
   parse errors).
 
-The one documented exemption is ``repro lint --format sarif``, whose
-stdout is a raw SARIF document — still a single valid JSON document,
-just not wrapped (CI archives it as-is).
-
 Floats are encoded exactly: finite values round-trip bit-identically
 through ``json`` (repr-based), and the non-finite values JSON cannot
 carry are spelled as the strings ``"NaN"``, ``"Infinity"`` and
@@ -45,7 +41,6 @@ __all__ = [
     "SCHEMA",
     "dumps",
     "emit",
-    "emit_raw",
     "envelope",
     "error_envelope",
     "from_jsonable",
@@ -149,21 +144,6 @@ def emit(env: dict[str, Any], stream: TextIO | None = None) -> int:
     out.write("\n")
     out.flush()
     return int(env["exit_code"])
-
-
-def emit_raw(document: str, stream: TextIO | None = None) -> None:
-    """Print a pre-rendered JSON document to stdout, unwrapped.
-
-    The escape hatch for the documented envelope exemptions (the SARIF
-    report): still one JSON document on stdout, just not an envelope.
-    Going through here keeps ``emit``/``emit_raw`` the only two stdout
-    writers, which is what R11 statically enforces.
-    """
-    out = stream if stream is not None else sys.stdout
-    out.write(document)
-    if not document.endswith("\n"):
-        out.write("\n")
-    out.flush()
 
 
 def hlog(message: str, stream: TextIO | None = None) -> None:

@@ -114,7 +114,6 @@ def scenario_result_to_dict(result: ScenarioResult) -> dict[str, Any]:
         "disk_misses": result.disk_misses,
         "disk_evictions": result.disk_evictions,
         "trace_gen_reused": result.trace_gen_reused,
-        "ensemble_reused": result.ensemble_reused,
         "scheduler": jsonable(result.scheduler),
     }
 
@@ -157,6 +156,5 @@ def scenario_result_from_dict(raw: dict[str, Any]) -> ScenarioResult:
         disk_misses=int(raw.get("disk_misses", 0)),
         disk_evictions=int(raw.get("disk_evictions", 0)),
         trace_gen_reused=bool(raw.get("trace_gen_reused", False)),
-        ensemble_reused=bool(raw.get("ensemble_reused", False)),
         scheduler=from_jsonable(raw.get("scheduler", {})),
     )

@@ -3,7 +3,7 @@
 Maps a :meth:`ScenarioSpec.signature` to its archived
 :class:`~repro.simulation.runner.ScenarioResult` so a re-submitted
 scenario is served from disk instead of re-solved — across processes,
-CI runs and hosts.  The layout mirrors ``.reprolint-cache/``:
+CI runs and hosts.  The layout:
 
 .. code-block:: text
 

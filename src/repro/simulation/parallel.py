@@ -653,7 +653,7 @@ class ParallelRunner:
         reused = shared is not None and (
             scenario.local is not None or scenario.layout is not None
         )
-        result.trace_gen_reused = result.ensemble_reused = reused
+        result.trace_gen_reused = reused
         result.elapsed = time.perf_counter() - start  # reprolint: clock-ok=diagnostic elapsed time
         return result
 

@@ -84,10 +84,10 @@ class ScenarioResult:
         Persistent solve-tier activity (:mod:`repro.core.diskcache`)
         during the run, aggregated over all workers; all zero when the
         tier is disabled (:func:`repro.core.diskcache.configure_disk_cache`).
-    trace_gen_reused / ensemble_reused:
-        True when the run consumed a sweep group's shared trace set /
-        compiled ensemble (:mod:`repro.simulation.sweep`) instead of
-        generating or compiling its own.  Execution metadata only —
+    trace_gen_reused:
+        True when the run consumed a sweep group's shared trace set and
+        its compiled ensemble (:mod:`repro.simulation.sweep`) instead of
+        generating and compiling its own.  Execution metadata only —
         never part of the comparable result payload.
     scheduler:
         Cost-model dispatch diagnostics: unit count, estimated-cost
@@ -112,7 +112,6 @@ class ScenarioResult:
     disk_misses: int = 0
     disk_evictions: int = 0
     trace_gen_reused: bool = False
-    ensemble_reused: bool = False
     scheduler: dict = field(default_factory=dict)
 
     def policy_names(self) -> list[str]:

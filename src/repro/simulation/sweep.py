@@ -351,7 +351,6 @@ def run_sweep(  # reprolint: disable=R6 each point's seed lives in its spec (tra
                 "n_points": len(group.indices),
                 "point_indices": list(group.indices),
                 "trace_gen_reused": bool(first.trace_gen_reused),
-                "ensemble_reused": bool(first.ensemble_reused),
                 "shm": resources.shared.layout is not None,
                 "shm_bytes": shm_bytes,
                 "build_seconds": resources.build_seconds,

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-# Lint fixtures contain deliberate rule violations (including fake
-# ``test_*`` functions for the R5 rule); never collect them as tests.
+# Lint fixtures contain deliberate rule violations; never collect them
+# as tests.
 collect_ignore = ["fixtures"]
 
 from repro.distributions import Empirical, Exponential, Gamma, LogNormal, Weibull

@@ -9,6 +9,7 @@ from repro.core.dp_makespan import dp_makespan, expected_trec_general
 from repro.core.theory import expected_makespan_optimal, expected_trec
 from repro.distributions import Exponential, Weibull
 from repro.units import DAY, HOUR
+from tests import dpmakespan_oracle
 
 
 class TestTrecGeneral:
@@ -114,8 +115,8 @@ class TestPolicyQueries:
 
 class TestVectorizedSweep:
     """The blocked 2-D ``(y, i)`` sweep must build tables identical to
-    the ``y``-at-a-time reference loop — same float ops elementwise,
-    same first-minimum tie-breaking."""
+    the ``y``-at-a-time reference loop of ``tests/dpmakespan_oracle.py``
+    — same float ops elementwise, same first-minimum tie-breaking."""
 
     @pytest.mark.parametrize(
         "dist",
@@ -130,11 +131,9 @@ class TestVectorizedSweep:
     def test_tables_identical(self, dist, tau0):
         work, checkpoint, downtime, recovery = 20 * HOUR, 600.0, 60.0, 600.0
         u = max(checkpoint, work / 48)
-        vec = dp_makespan(
-            work, checkpoint, downtime, recovery, dist, u, tau0, vectorized=True
-        )
-        loop = dp_makespan(
-            work, checkpoint, downtime, recovery, dist, u, tau0, vectorized=False
+        vec = dp_makespan(work, checkpoint, downtime, recovery, dist, u, tau0)
+        loop = dpmakespan_oracle.dp_makespan(
+            work, checkpoint, downtime, recovery, dist, u, tau0
         )
         assert vec.expected_makespan == loop.expected_makespan
         assert vec.first_chunk == loop.first_chunk
@@ -152,13 +151,11 @@ class TestVectorizedSweep:
         mod = importlib.import_module("repro.core.dp_makespan")
 
         dist = Weibull.from_mtbf(10 * HOUR, 0.7)
-        reference = dp_makespan(
-            10 * HOUR, 600.0, 60.0, 600.0, dist, 1500.0, vectorized=False
+        reference = dpmakespan_oracle.dp_makespan(
+            10 * HOUR, 600.0, 60.0, 600.0, dist, 1500.0
         )
         monkeypatch.setattr(mod, "_Y_BLOCK_ELEMS", 7)
-        blocked = dp_makespan(
-            10 * HOUR, 600.0, 60.0, 600.0, dist, 1500.0, vectorized=True
-        )
+        blocked = dp_makespan(10 * HOUR, 600.0, 60.0, 600.0, dist, 1500.0)
         assert np.array_equal(blocked._v_pre, reference._v_pre)
         assert np.array_equal(blocked._c_pre, reference._c_pre)
         assert np.array_equal(blocked._v_post, reference._v_post)

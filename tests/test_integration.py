@@ -22,7 +22,7 @@ from repro.units import DAY, HOUR
 
 class TestTheoremOneEndToEnd:
     # 150 single-proc traces run in ~0.1 s: measured fast despite the loop
-    def test_simulated_optexp_matches_closed_form(self):  # reprolint: disable=R5
+    def test_simulated_optexp_matches_closed_form(self):
         """Monte-Carlo mean of the simulated OptExp makespan must agree
         with Theorem 1 within 3 standard errors."""
         lam, work, c, d, r = 1 / DAY, 20 * DAY, 600.0, 60.0, 600.0

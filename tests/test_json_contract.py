@@ -2,9 +2,7 @@
 
 Parametrized over every subcommand (including failure paths): stdout
 must parse as a single JSON document and satisfy the documented
-envelope schema (``docs/service.md``).  The one exemption —
-``repro lint --format sarif`` — must still be a single valid JSON
-document, just a SARIF one.
+envelope schema (``docs/service.md``).
 """
 
 from __future__ import annotations
@@ -85,14 +83,6 @@ def test_stdout_is_one_valid_envelope(argv, expected, capsys, tmp_path,
         assert env["error"]["message"]
 
 
-def test_sarif_exemption_is_still_valid_json(capsys):
-    assert main(["lint", _UNITS_PY, "--format", "sarif"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    # a SARIF document, not an envelope
-    assert doc["version"] == "2.1.0"
-    assert doc["runs"][0]["tool"]["driver"]["name"] == "reprolint"
-
-
 def test_store_envelope_reports_solvecache(capsys, tmp_path, monkeypatch):
     """`repro store` surfaces the persistent solve-cache tier: entry
     counts, byte usage and lifetime hit counters, plus the wipe knobs."""
@@ -115,8 +105,8 @@ def test_store_envelope_reports_solvecache(capsys, tmp_path, monkeypatch):
 
 def test_lint_findings_exit_one_with_envelope(capsys, tmp_path):
     bad = tmp_path / "bad.py"
-    bad.write_text("import random\n")  # missing future import, R1 random
-    rc = main(["lint", str(bad), "--no-cache"])
+    bad.write_text("import random\n")  # R1: stdlib random
+    rc = main(["lint", str(bad)])
     env = json.loads(capsys.readouterr().out)
     assert rc == 1
     assert env["ok"] is False

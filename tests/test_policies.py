@@ -232,3 +232,30 @@ class TestDPMakespanPolicy:
         )
         assert res.completed
         assert res.n_failures == 1
+
+
+def test_paper_roster_agrees_across_layers():
+    """The paper's ten policies (Section 4.1) are named in places that
+    drift independently: the policies package exports, the CLI keys, the
+    spec factory behind them, the experiment tables, the runner's two
+    synthetic columns and the EXPERIMENTS.md narrative."""
+    from pathlib import Path
+
+    import repro.policies as policies
+    from repro.cli import _POLICY_KEYS
+    from repro.experiments.common import single_proc_policies
+    from repro.experiments.config import SMOKE
+    from repro.service.spec import POLICY_NAMES, policy_from_name
+    from repro.simulation.runner import LOWER_BOUND, PERIOD_LB
+
+    assert _POLICY_KEYS == POLICY_NAMES
+    built = [policy_from_name(key) for key in POLICY_NAMES]
+    assert all(type(p).__name__ in policies.__all__ for p in built)
+    assert {type(p) for p in single_proc_policies(SMOKE)} == {
+        type(p) for p in built
+    }
+    names = [LOWER_BOUND, PERIOD_LB, *(p.name for p in built)]
+    assert len(set(names)) == 10
+    experiments_md = Path(__file__).resolve().parent.parent / "EXPERIMENTS.md"
+    text = experiments_md.read_text(encoding="utf-8")
+    assert [n for n in names if n not in text] == []

@@ -120,14 +120,6 @@ class TestSurvivalTable:
                     direct, rel=1e-9, abs=1e-12
                 )
 
-    def test_log_psuc_lookup(self, weibull):
-        st = PlatformState([DAY], weibull)
-        u, c = 500.0, 600.0
-        table = SurvivalTable.build(st, u, c, na=8, nb=8)
-        # survive i=2 quanta + 1 checkpoint from advance (a=1, b=1)
-        expected = st.log_psuc(2 * u + c, advance=u + c)
-        assert table.log_psuc(1, 1, 2) == pytest.approx(expected, rel=1e-10)
-
     def test_floor_prevents_nan(self):
         """Ages beyond an Empirical support give -inf log-survival; the
         floor keeps DP arithmetic finite."""

@@ -185,7 +185,6 @@ class TestRunSweepReporting:
         for stats in sweep.group_stats:
             assert stats["n_points"] == 6
             assert stats["trace_gen_reused"] is True
-            assert stats["ensemble_reused"] is True
             assert stats["build_seconds"] >= 0.0
         # the first group is built inline; every later group's traces
         # are prefetched while its predecessor replays
@@ -195,7 +194,6 @@ class TestRunSweepReporting:
     def test_reference_path_reuses_nothing(self):
         for result in [spec.run(jobs=1) for spec in _grid_12()[:2]]:
             assert result.trace_gen_reused is False
-            assert result.ensemble_reused is False
 
     def test_counters_roll_up_over_all_points(self):
         sweep = run_sweep(_grid_12(), jobs=1)
