@@ -62,14 +62,23 @@ bench-sweep:
 	$(PYTHON) benchmarks/bench_sweep.py --smoke
 
 # End-to-end golden gate: one table4_cold pass of perfbench (~30 s),
-# which solves every replan and writes the disk tier, then one
-# table4_warm pass, which replays the goldens through disk-tier loads
-# (the replan codec's read side); every (policy, trace) is checked
-# against perfbench/goldens/.  run.py exits 0 even on a golden
-# mismatch, so its last stdout line (the JSON result) is checked here;
-# no output at all fails too.
+# which solves every replan and writes the disk tier, one table4_warm
+# pass, which replays the goldens through disk-tier loads (the replan
+# codec's read side), and one sweep_static_par pass, which checks the
+# two-worker pool path (lockstep static replay, shared-memory rows, the
+# PeriodLB makespans taken from the candidate lanes); every (policy,
+# trace) is checked against perfbench/goldens/.  The sweep needs two
+# CPUs (run.py refuses it on fewer) and is skipped with a message there.
+# run.py exits 0 even on a golden mismatch, so its last stdout line
+# (the JSON result) is checked here; no output at all fails too.
 perfbench-check:
-	for workload in table4_cold table4_warm; do \
+	workloads="table4_cold table4_warm"; \
+	if [ "$$(nproc)" -ge 2 ]; then \
+		workloads="$$workloads sweep_static_par"; \
+	else \
+		echo "perfbench-check: fewer than 2 CPUs -- skipping sweep_static_par"; \
+	fi; \
+	for workload in $$workloads; do \
 		$(PYTHON) perfbench/run.py --workload $$workload --seconds 1 --trace 0 \
 			| $(PYTHON) -c 'import json, sys; lines = sys.stdin.read().splitlines(); print(*lines, sep="\n"); doc = json.loads(lines[-1]) if lines else {}; sys.exit(0 if doc.get("correct") is True and doc.get("failed") == 0 else "perfbench-check: goldens not matched")' \
 			|| exit 1; \

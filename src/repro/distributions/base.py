@@ -6,13 +6,48 @@ import abc
 
 import numpy as np
 
-__all__ = ["FailureDistribution", "FloatOrArray", "SampleSize"]
+__all__ = ["FailureDistribution", "FloatOrArray", "SampleSize", "simpson"]
 
 # Methods broadcast: scalars in -> float out, arrays in -> arrays out.
 FloatOrArray = float | np.ndarray
 # numpy ``size`` argument: None for a scalar draw, int or shape tuple
 # for an array of draws.
 SampleSize = int | tuple[int, ...] | None
+
+
+def simpson(y: np.ndarray, x: np.ndarray) -> float:
+    """Composite Simpson integral of samples ``y`` at the odd number of
+    points ``x``.
+
+    The arithmetic of ``scipy.integrate.simpson(y, x=x)`` for an odd
+    point count (its ``_basic_simpson`` with explicit spacings), in its
+    operation order, so results match it bit for bit, without importing
+    ``scipy.integrate`` at run time.
+    """
+    y = np.asarray(y, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if y.ndim != 1 or y.shape != x.shape or y.size % 2 == 0:
+        raise ValueError("simpson needs 1-D y and x of one odd length")
+    n = y.size
+    h = np.diff(x)
+    h0 = h[0 : n - 2 : 2]
+    h1 = h[1 : n - 1 : 2]
+    hsum = h0 + h1
+    hprod = h0 * h1
+    h0divh1 = np.true_divide(h0, h1, out=np.zeros_like(h0), where=h1 != 0)
+    tmp = hsum / 6.0 * (
+        y[0 : n - 2 : 2]
+        * (
+            2.0
+            - np.true_divide(
+                1.0, h0divh1, out=np.zeros_like(h0divh1), where=h0divh1 != 0
+            )
+        )
+        + y[1 : n - 1 : 2]
+        * (hsum * np.true_divide(hsum, hprod, out=np.zeros_like(hsum), where=hprod != 0))
+        + y[2:n:2] * (2.0 - h0divh1)
+    )
+    return float(np.sum(tmp, axis=-1))
 
 
 class FailureDistribution(abc.ABC):
@@ -152,9 +187,7 @@ class FailureDistribution(abc.ABC):
             # Failure within the window is (numerically) impossible;
             # convention: no time lost.
             return 0.0
-        from scipy.integrate import simpson
-
-        num = simpson(s - s_end, x=ts)
+        num = simpson(s - s_end, ts)
         return float(num / denom)
 
     # ------------------------------------------------------------------

@@ -18,7 +18,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.distributions.base import FailureDistribution, FloatOrArray, SampleSize
+from repro.distributions.base import (
+    FailureDistribution,
+    FloatOrArray,
+    SampleSize,
+    simpson,
+)
 
 __all__ = ["MinOfIID"]
 
@@ -61,9 +66,7 @@ class MinOfIID(FailureDistribution):
         with ``t_hi`` the 1-1e-9 quantile of the minimum."""
         t_hi = float(self.quantile(1.0 - 1e-9))
         ts = np.linspace(0.0, t_hi, 4097)
-        from scipy.integrate import simpson
-
-        return float(simpson(self.sf(ts), x=ts))
+        return simpson(self.sf(ts), ts)
 
     def sample(
         self, rng: np.random.Generator, size: SampleSize = None

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.policies.base import PeriodicPolicy
-
 __all__ = ["candidate_factors", "best_period_search", "PeriodSearchResult"]
 
 
@@ -59,34 +57,29 @@ def best_period_search(
     """Evaluate ``base_period * factor`` for every factor over the given
     job traces and return the period minimizing the mean makespan.
 
-    Every candidate is replayed by the vectorized batch engine against
-    one shared compiled ensemble — bit-identical to a per-trace
+    Every candidate is replayed in one lockstep pass of the batch
+    engine over one compiled ensemble — bit-identical to a per-trace
     :func:`repro.simulation.engine.simulate_job` sweep, much faster.
+    ``dist`` and ``platform_mtbf`` describe the scenario; a periodic
+    candidate's schedule depends on neither.
     """
     # Imported lazily: the batch engine imports the policies package,
     # so a module-level import would be circular.
-    from repro.simulation.batch import TraceEnsemble, simulate_policy_ensemble
+    from repro.simulation.batch import simulate_period_makespans
 
     if factors is None:
         factors = candidate_factors()
     periods = np.asarray(sorted(base_period * np.asarray(factors)))
-    means = np.empty(periods.size)
-    ensemble = TraceEnsemble(job_traces, recovery, t0) if job_traces else None
-    for idx, period in enumerate(periods):
-        results = simulate_policy_ensemble(
-            PeriodicPolicy(period, name="PeriodCandidate"),
-            work_time,
-            job_traces,
-            checkpoint,
-            recovery,
-            dist,
-            t0=t0,
-            platform_mtbf=platform_mtbf,
-            max_makespan=max_makespan,
-            ensemble=ensemble,
-        )
-        spans = [res.makespan for res in results if res is not None]
-        means[idx] = float(np.mean(spans))
+    spans = simulate_period_makespans(
+        periods,
+        work_time,
+        job_traces,
+        checkpoint,
+        recovery,
+        t0=t0,
+        max_makespan=max_makespan,
+    )
+    means = np.asarray([float(np.mean(row)) for row in spans])
     best = int(np.argmin(means))
     return PeriodSearchResult(
         best_period=float(periods[best]),

@@ -22,27 +22,36 @@ NumPy, in two phases:
    an exact scan built on the scalar engine's machinery.  The compiled
    ensemble is shared by every policy replayed against it.
 
-2. **Replay** (:func:`simulate_job_batch`): all traces advance in
-   lockstep, one *attempt* per step, entirely with array operations.
-   Each step performs, per still-active trace, the identical IEEE-754
-   double operations the scalar engine performs for that attempt —
+2. **Replay** (:func:`_replay_lanes`): one *lane* per (schedule, trace)
+   pair, so every static policy of a scenario — or every PeriodLB
+   candidate — replays in one call.  All lanes advance in lockstep, one
+   *attempt* per step, entirely with array operations.  Each step
+   performs, per still-active lane, the identical IEEE-754 double
+   operations the scalar engine performs for that attempt —
    ``min(schedule, remaining)``, ``(t + w) + C``, the ``attempt_end <=
-   next_failure`` test, the loss/outage accounting, the ``max_makespan``
-   early exit — so every :class:`~repro.simulation.results
-   .SimulationResult` field is **bit-identical** to the scalar engine's,
-   by construction rather than by tolerance.
+   next_failure`` test, the loss/outage accounting, the
+   ``max_makespan`` early exit — so every :class:`~repro.simulation
+   .results.SimulationResult` field is **bit-identical** to the scalar
+   engine's, by construction rather than by tolerance.  Lanes read the
+   window arrays through a lane-to-row index, and the lane state is
+   compacted to the active lanes whenever at most half are still
+   running.  The kernel returns arrays (:class:`LaneResults`); result
+   records are built only where a caller keeps them.
 
+:func:`simulate_static_policies` replays a list of policies in one pass
+(the runner's lockstep units), :func:`simulate_period_makespans` a list
+of periods (the PeriodLB search; makespans only) and
+:func:`simulate_job_batch` one policy.
 :func:`simulate_lower_bound_batch` replays the omniscient LowerBound the
 same way (one *window* per lockstep step), and
-:func:`simulate_policy_ensemble` is the dispatch used by the runner:
-batch when the policy declares a static schedule, scalar fallback
-otherwise.
+:func:`simulate_policy_ensemble` is the one-policy dispatch: batch when
+the policy declares a static schedule, scalar fallback otherwise.
 """
 
 from __future__ import annotations
 
 import math
-
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -59,10 +68,13 @@ from repro.simulation.results import SimulationResult
 from repro.traces.generation import JobTraces
 
 __all__ = [
+    "LaneResults",
     "TraceEnsemble",
     "simulate_job_batch",
     "simulate_lower_bound_batch",
+    "simulate_period_makespans",
     "simulate_policy_ensemble",
+    "simulate_static_policies",
 ]
 
 
@@ -240,125 +252,240 @@ class TraceEnsemble:
 
 
 # ----------------------------------------------------------------------
-# phase 2: lockstep replay
+# phase 2: lockstep replay over (schedule, trace) lanes
 # ----------------------------------------------------------------------
 
+#: Chunk budget of a periodic lane: it never runs out of chunks.
+_UNBOUNDED = np.iinfo(np.int64).max
 
-def _replay_static(
+
+@dataclass
+class LaneResults:
+    """Outcomes of one lockstep replay, one entry per lane.
+
+    Lane ``s * n_traces + r`` is schedule ``s`` replayed over ensemble
+    row ``r``; :meth:`results` turns one schedule's lanes into
+    :class:`SimulationResult` records.
+    """
+
+    work_time: float
+    n_traces: int
+    makespan: np.ndarray
+    n_failures: np.ndarray
+    n_checkpoints: np.ndarray
+    n_attempts: np.ndarray
+    chunk_min: np.ndarray
+    chunk_max: np.ndarray
+    completed: np.ndarray
+    infeasible: np.ndarray
+    time_lost: np.ndarray
+    time_outage: np.ndarray
+    time_waiting: np.ndarray
+
+    def results(self, schedule: int) -> list[SimulationResult | None]:
+        """Schedule ``schedule``'s per-trace records, None where a
+        restarting schedule ran out of chunks."""
+        out: list[SimulationResult | None] = []
+        for i in range(schedule * self.n_traces, (schedule + 1) * self.n_traces):
+            if self.infeasible[i]:
+                out.append(None)
+                continue
+            att = int(self.n_attempts[i])
+            out.append(
+                SimulationResult(
+                    makespan=float(self.makespan[i]),
+                    work_time=self.work_time,
+                    n_failures=int(self.n_failures[i]),
+                    n_checkpoints=int(self.n_checkpoints[i]),
+                    n_attempts=att,
+                    chunk_min=float(self.chunk_min[i]) if att else math.nan,
+                    chunk_max=float(self.chunk_max[i]) if att else math.nan,
+                    completed=bool(self.completed[i]),
+                    time_lost=float(self.time_lost[i]),
+                    time_outage=float(self.time_outage[i]),
+                    time_waiting=float(self.time_waiting[i]),
+                )
+            )
+        return out
+
+
+def _replay_lanes(
     ensemble: TraceEnsemble,
-    schedule: StaticSchedule,
+    schedules: Sequence[StaticSchedule],
     work_time: float,
     checkpoint: float,
     max_makespan: float,
-) -> list[SimulationResult | None]:
-    """Replay one static schedule against the compiled ensemble.
+) -> LaneResults:
+    """Replay every schedule over every ensemble row in one lockstep
+    pass.
 
-    All traces advance in lockstep, one attempt per step; every float
-    update below mirrors the scalar engine's expression for the same
-    attempt, operand for operand.
+    One lane per (schedule, row) pair; all lanes advance together, one
+    attempt per step, and every float update below mirrors the scalar
+    engine's expression for the same attempt, operand for operand, so
+    each lane is bit-identical to :func:`simulate_job` on its trace.
+    Each lane's chunk is read from a per-schedule table: a periodic
+    schedule is one column holding its period with an unbounded chunk
+    budget, a restarting schedule (Liu) its padded chunk list.  Lanes
+    read the window arrays through their row index.  Whenever at most
+    half of the held lanes are still active, the state is compacted to
+    the active ones, so a few long lanes (short periods) do not keep
+    every finished lane in the arithmetic.
     """
-    n = ensemble.n_traces
+    n_rows = ensemble.n_traces
+    n_sched = len(schedules)
+    n = n_sched * n_rows
     t0 = ensemble.t0
-    periodic = schedule.period is not None
-    if not periodic:
-        chunks = np.asarray(schedule.chunks, dtype=float)
+    width = max(
+        [1] + [len(s.chunks) for s in schedules if s.chunks is not None]
+    )
+    table = np.empty((n_sched, width))
+    budget = np.empty(n_sched, dtype=np.int64)
+    for i, s in enumerate(schedules):
+        if s.chunks is None:
+            table[i] = s.period
+            budget[i] = _UNBOUNDED
+        else:
+            chunks = np.asarray(s.chunks, dtype=float)
+            table[i, : chunks.size] = chunks
+            table[i, chunks.size :] = chunks[-1] if chunks.size else 1.0
+            budget[i] = chunks.size
 
-    t = ensemble.t_start.copy()
-    waiting = t - t0
+    # global (per-lane) outputs; the counters are flushed from the
+    # compacted state, the verdicts written when a lane finishes
+    rows_all = np.tile(np.arange(n_rows), n_sched)
+    t_start = ensemble.t_start[rows_all]
+    out = LaneResults(
+        work_time=work_time,
+        n_traces=n_rows,
+        makespan=t_start - t0,  # overwritten on completion; exact for 0-attempt lanes
+        n_failures=np.zeros(n, dtype=np.int64),
+        n_checkpoints=np.zeros(n, dtype=np.int64),
+        n_attempts=np.zeros(n, dtype=np.int64),
+        chunk_min=np.full(n, np.inf),
+        chunk_max=np.zeros(n),
+        completed=np.ones(n, dtype=bool),
+        infeasible=np.zeros(n, dtype=bool),
+        time_lost=np.zeros(n),
+        time_outage=np.zeros(n),
+        time_waiting=t_start - t0,
+    )
+
+    # compactable lane state
+    lane = np.arange(n)
+    row = rows_all
+    sched = np.repeat(np.arange(n_sched), n_rows)
+    chunk_budget = budget[sched]
+    last = np.minimum(chunk_budget, width) - 1
+    np.maximum(last, 0, out=last)
+    period = table[sched, 0]
+    restarting = bool(np.any(chunk_budget != _UNBOUNDED))
+    t = t_start.copy()
     remaining = np.full(n, float(work_time))
     widx = np.zeros(n, dtype=np.int64)
     kidx = np.zeros(n, dtype=np.int64)
-    fail_now = ensemble.fail[:, 0].copy() if n else np.empty(0)
-    n_fail = np.zeros(n, dtype=np.int64)
-    n_ckpt = np.zeros(n, dtype=np.int64)
-    n_att = np.zeros(n, dtype=np.int64)
-    lost = np.zeros(n)
-    outage = np.zeros(n)
-    chmin = np.full(n, np.inf)
-    chmax = np.zeros(n)
-    makespan = t - t0  # overwritten on completion; exact for 0-attempt runs
-    completed = np.ones(n, dtype=bool)
-    infeasible = np.zeros(n, dtype=bool)
+    fail_now = ensemble.fail[row, 0]
+    n_fail = out.n_failures.copy()
+    n_ckpt = out.n_checkpoints.copy()
+    n_att = out.n_attempts.copy()
+    lost = out.time_lost.copy()
+    outage = out.time_outage.copy()
+    chmin = out.chunk_min.copy()
+    chmax = out.chunk_max.copy()
     active = remaining > _WORK_EPS
+    capped = max_makespan < math.inf
 
-    while active.any():
-        if periodic:
-            w = np.minimum(schedule.period, remaining)
-        else:
-            exhausted = active & (kidx >= chunks.size)
+    def flush() -> None:
+        out.n_failures[lane] = n_fail
+        out.n_checkpoints[lane] = n_ckpt
+        out.n_attempts[lane] = n_att
+        out.time_lost[lane] = lost
+        out.time_outage[lane] = outage
+        out.chunk_min[lane] = chmin
+        out.chunk_max[lane] = chmax
+
+    while True:
+        n_active = int(np.count_nonzero(active))
+        if n_active == 0:
+            break
+        if 2 * n_active <= active.size:
+            flush()
+            keep = np.flatnonzero(active)
+            (
+                lane, row, sched, chunk_budget, last, period, t, remaining,
+                widx, kidx, fail_now, n_fail, n_ckpt, n_att, lost, outage,
+                chmin, chmax, active,
+            ) = (
+                a[keep]
+                for a in (
+                    lane, row, sched, chunk_budget, last, period, t,
+                    remaining, widx, kidx, fail_now, n_fail, n_ckpt, n_att,
+                    lost, outage, chmin, chmax, active,
+                )
+            )
+            restarting = bool(np.any(chunk_budget != _UNBOUNDED))
+        if restarting:
+            exhausted = active & (kidx >= chunk_budget)
             if exhausted.any():
-                infeasible[exhausted] = True
-                active = active & ~exhausted
+                out.infeasible[lane[exhausted]] = True
+                active &= ~exhausted
                 if not active.any():
                     break
-            w = np.minimum(chunks[np.minimum(kidx, chunks.size - 1)], remaining)
-        chmin = np.where(active, np.minimum(chmin, w), chmin)
-        chmax = np.where(active, np.maximum(chmax, w), chmax)
+            w = np.minimum(table[sched, np.minimum(kidx, last)], remaining)
+        else:
+            w = np.minimum(period, remaining)
+        np.minimum(chmin, w, out=chmin, where=active)
+        np.maximum(chmax, w, out=chmax, where=active)
         n_att += active
 
         attempt_end = (t + w) + checkpoint
-        success = active & (attempt_end <= fail_now)
-        failure = active & ~success
+        success = attempt_end <= fail_now
+        success &= active
+        failure = active ^ success
 
-        t = np.where(success, attempt_end, t)
-        remaining = np.where(success, remaining - w, remaining)
+        np.copyto(t, attempt_end, where=success)
+        np.subtract(remaining, w, out=remaining, where=success)
         n_ckpt += success
-        kidx += success
+        if restarting:
+            kidx += success
 
         f = np.flatnonzero(failure)
         if f.size:
+            r = row[f]
             wi = widx[f]
-            tf = ensemble.fail[f, wi]
-            rs = ensemble.resume[f, wi]
+            tf = ensemble.fail[r, wi]
+            rs = ensemble.resume[r, wi]
             lost[f] += tf - t[f]
             outage[f] += rs - tf
             t[f] = rs
-            n_fail[f] = ensemble.cumfail[f, wi]
+            n_fail[f] = ensemble.cumfail[r, wi]
             widx[f] = wi + 1
             kidx[f] = 0
-            fail_now[f] = ensemble.fail[f, wi + 1]
+            fail_now[f] = ensemble.fail[r, wi + 1]
 
         # scalar loop order: the max_makespan abort is checked right
         # after the attempt, before the remaining-work loop condition
-        over = active & (t - t0 > max_makespan)
-        if over.any():
-            makespan = np.where(over, np.inf, makespan)
-            completed = completed & ~over
-            active = active & ~over
+        if capped:
+            over = active & (t - t0 > max_makespan)
+            if over.any():
+                ids = lane[over]
+                out.makespan[ids] = np.inf
+                out.completed[ids] = False
+                active &= ~over
         done = active & (remaining <= _WORK_EPS)
         if done.any():
-            makespan = np.where(done, t - t0, makespan)
-            active = active & ~done
+            out.makespan[lane[done]] = t[done] - t0
+            active &= ~done
 
-    results: list[SimulationResult | None] = []
-    for i in range(n):
-        if infeasible[i]:
-            results.append(None)
-            continue
-        att = int(n_att[i])
-        results.append(
-            SimulationResult(
-                makespan=float(makespan[i]),
-                work_time=work_time,
-                n_failures=int(n_fail[i]),
-                n_checkpoints=int(n_ckpt[i]),
-                n_attempts=att,
-                chunk_min=float(chmin[i]) if att else math.nan,
-                chunk_max=float(chmax[i]) if att else math.nan,
-                completed=bool(completed[i]),
-                time_lost=float(lost[i]),
-                time_outage=float(outage[i]),
-                time_waiting=float(waiting[i]),
-            )
-        )
-    return results
+    flush()
+    return out
 
 
 def _probe_context(
-    traces: Sequence[JobTraces],
     work_time: float,
     checkpoint: float,
     recovery: float,
+    downtime: float,
+    n_units: int,
     dist: FailureDistribution,
     t0: float,
     platform_mtbf: float,
@@ -372,10 +499,10 @@ def _probe_context(
     return JobContext(
         checkpoint=checkpoint,
         recovery=recovery,
-        downtime=traces[0].downtime,
+        downtime=downtime,
         dist=dist,
         work_time=work_time,
-        n_units=traces[0].n_units,
+        n_units=n_units,
         platform_mtbf=platform_mtbf,
         t0=t0,
         time=t0,
@@ -412,7 +539,14 @@ def simulate_job_batch(
     if not traces:
         return []
     ctx = _probe_context(
-        traces, work_time, checkpoint, recovery, dist, t0, platform_mtbf
+        work_time,
+        checkpoint,
+        recovery,
+        traces[0].downtime,
+        traces[0].n_units,
+        dist,
+        t0,
+        platform_mtbf,
     )
     policy.setup(ctx)
     schedule = policy.static_schedule(ctx)
@@ -420,7 +554,95 @@ def simulate_job_batch(
         return None
     if ensemble is None:
         ensemble = TraceEnsemble(traces, recovery, t0)
-    return _replay_static(ensemble, schedule, work_time, checkpoint, max_makespan)
+    return _replay_lanes(
+        ensemble, [schedule], work_time, checkpoint, max_makespan
+    ).results(0)
+
+
+def simulate_static_policies(
+    policies: Sequence[Policy],
+    work_time: float,
+    traces: Sequence[JobTraces],
+    checkpoint: float,
+    recovery: float,
+    dist: FailureDistribution,
+    t0: float = 0.0,
+    platform_mtbf: float = math.nan,
+    max_makespan: float = math.inf,
+    ensemble: TraceEnsemble | None = None,
+) -> list[list[SimulationResult | None] | None]:
+    """Replay every static-schedule policy of ``policies`` over
+    ``traces`` in one lockstep pass.
+
+    Entry ``i`` is policy ``i``'s per-trace results, exactly what
+    :func:`simulate_policy_ensemble` returns for it: None marks an
+    infeasible (policy, trace) pair, and setup-time infeasibility makes
+    every pair None.  The entry itself is None when the policy declares
+    no static schedule; the caller replays it with
+    :func:`simulate_policy_ensemble`.
+    """
+    out: list[list[SimulationResult | None] | None] = [None] * len(policies)
+    if not traces:
+        return [[] for _ in policies]
+    schedules: list[StaticSchedule] = []
+    owners: list[int] = []
+    for i, policy in enumerate(policies):
+        ctx = _probe_context(
+            work_time,
+            checkpoint,
+            recovery,
+            traces[0].downtime,
+            traces[0].n_units,
+            dist,
+            t0,
+            platform_mtbf,
+        )
+        try:
+            policy.setup(ctx)
+            schedule = policy.static_schedule(ctx)
+        except PolicyInfeasibleError:
+            # scenario-wide: the scalar path raises identically per trace
+            out[i] = [None] * len(traces)
+            continue
+        if schedule is not None:
+            schedules.append(schedule)
+            owners.append(i)
+    if schedules:
+        if ensemble is None:
+            ensemble = TraceEnsemble(traces, recovery, t0)
+        lanes = _replay_lanes(
+            ensemble, schedules, work_time, checkpoint, max_makespan
+        )
+        for s, i in enumerate(owners):
+            out[i] = lanes.results(s)
+    return out
+
+
+def simulate_period_makespans(
+    periods: Sequence[float],
+    work_time: float,
+    traces: Sequence[JobTraces],
+    checkpoint: float,
+    recovery: float,
+    t0: float = 0.0,
+    max_makespan: float = math.inf,
+    ensemble: TraceEnsemble | None = None,
+) -> np.ndarray:
+    """Makespans of a periodic policy for every period and trace, from
+    one lockstep pass: row ``i`` is ``PeriodicPolicy(periods[i])`` over
+    ``traces``, bit-identical to the scalar engine.  Only the makespans
+    are kept; no result records are built.
+    """
+    if ensemble is None:
+        ensemble = TraceEnsemble(traces, recovery, t0)
+    lanes = _replay_lanes(
+        ensemble,
+        [StaticSchedule(period=float(p)) for p in periods],
+        work_time,
+        checkpoint,
+        max_makespan,
+    )
+    return lanes.makespan.reshape(len(periods), ensemble.n_traces)
 
 
 def simulate_lower_bound_batch(

@@ -4,13 +4,22 @@ The paper's experiments (Sections 4-6) evaluate ~10 policies over
 hundreds of independent failure traces per scenario — embarrassingly
 parallel work that the serial runner executed one (policy, trace) pair
 at a time.  :class:`ParallelRunner` fans that work out over a
-``concurrent.futures.ProcessPoolExecutor`` in three phases:
+``concurrent.futures.ProcessPoolExecutor`` as one set of work units,
+dispatched together:
 
-1. **trace phase** — batches of trace indices; each worker regenerates
-   its traces and runs every policy (plus the omniscient LowerBound);
-2. **period-search phase** — batches of PeriodLB candidate periods,
-   each evaluated over the search-subset traces;
-3. **winner phase** — the best period's policy over all traces.
+1. **lockstep units** — batches of trace indices; each worker replays
+   every static-schedule policy of the scenario plus the omniscient
+   LowerBound over its traces in one lockstep pass
+   (:func:`repro.simulation.batch.simulate_static_policies`);
+2. **adaptive units** — finer batches of trace indices for the policies
+   without a static schedule (the DP policies), replayed per trace by
+   the scalar engine;
+3. **period units** — batches of PeriodLB candidate periods, each
+   replayed in one lockstep pass over the search-subset traces.
+
+PeriodLB's makespans are the winning candidate's lanes; only traces
+outside the search subset (``period_lb_traces < n_traces``) are
+replayed once more, after the search.
 
 Determinism guarantee
 ---------------------
@@ -25,7 +34,9 @@ by construction:
   (policy parameters, trace), and every policy's per-trace state is
   reset by ``setup()``;
 - batches are stitched back by index, and the PeriodLB winner is the
-  ``argmin`` over the same sorted candidate array the serial path scans.
+  ``argmin`` over the same sorted candidate array the serial path
+  scans, of means taken over the same per-trace makespans in index
+  order.
 
 Running with ``jobs=1`` executes the identical unit functions in
 process, so the serial path is the parallel path with a trivial
@@ -54,16 +65,17 @@ the number of distinct memo entries actually solved.  With
 ``jobs > 1`` the replan memo is additionally **shared across workers**:
 each work unit ships the memo entries it added back to the parent,
 which merges them (:func:`repro.simulation.shm.merge_memo_delta`) so
-later phases fork warm, while the disk tier shares solves between
-workers inside a phase.
+later pools (the next scenario's, the winner replay's) fork warm, while
+the disk tier shares solves between workers inside one dispatch.
 
 Shared-memory trace publication: with ``jobs > 1`` the parent
 generates all traces and compiles the scenario ensemble once,
 publishes the arrays via :mod:`repro.simulation.shm`, and workers
 attach and copy out only the rows of their work unit instead of
-regenerating per task.  Any publish/attach failure falls back silently
-to regeneration — bit-identical by the determinism anchor above, shared
-memory only changes who computes the traces.
+regenerating per task; with ``jobs = 1`` the same generated set stays
+in process and every unit takes its rows.  Any publish/attach failure
+falls back silently to regeneration — bit-identical by the determinism
+anchor above, shared memory only changes who computes the traces.
 
 Sweep-shared traces (:class:`SharedTraces`): the grid sweep engine
 (:mod:`repro.simulation.sweep`) generates a group's trace set once and
@@ -74,14 +86,17 @@ publication.  Both channels carry the exact arrays the scenario would
 have generated itself, so sharing never changes results.
 
 Cost-model scheduling: work units are not all equal — a trace batch
-replaying a DP policy costs orders of magnitude more than a vectorized
-static-schedule replay.  The runner estimates each unit's cost (policy
-family x trace count x DP grid size), splits trace batches finer when
-units are expensive (dynamic chunking), and dispatches units
-longest-first (LPT) so a straggler never lands last on an otherwise
-idle pool.  Results are stitched by trace index, so dispatch order is
-invisible to results; the estimates and per-unit wall-clock land in
-``ScenarioResult.scheduler``.
+replaying a DP policy costs orders of magnitude more than a lockstep
+replay of every static schedule.  The runner estimates each unit's cost
+in lane-attempts (one attempt of one (schedule, trace) lane; a static
+schedule's attempts are ``work / min(period, work)``, Liu's its chunk
+count, a DP trace a calibrated constant), splits adaptive trace batches
+finer when they are expensive, keeps lockstep units to one per worker
+(their per-step Python overhead is paid once per unit) and dispatches
+units longest-first (LPT) so a straggler never lands last on an
+otherwise idle pool.  Results are stitched by trace index, so dispatch
+order is invisible to results; the estimates and per-unit wall-clock
+land in ``ScenarioResult.scheduler``.
 """
 
 from __future__ import annotations
@@ -99,11 +114,14 @@ from repro.cluster.models import Platform
 from repro.core.cache import cache_stats, replan_memo_stats
 from repro.core.diskcache import disk_cache_stats, get_disk_cache
 from repro.simulation import shm as _shm
-from repro.policies.base import PeriodicPolicy
+from repro.policies.base import PeriodicPolicy, Policy, PolicyInfeasibleError
 from repro.simulation.batch import (
     TraceEnsemble,
+    _probe_context,
     simulate_lower_bound_batch,
+    simulate_period_makespans,
     simulate_policy_ensemble,
+    simulate_static_policies,
 )
 from repro.traces.generation import generate_platform_traces
 
@@ -160,22 +178,74 @@ class SharedTraces:
 # per-unit cost model (estimates only: scheduling, never results)
 # ----------------------------------------------------------------------
 
-#: Relative cost of replaying one trace under a DP policy with the
-#: reference grid (n_grid=96) versus one vectorized static-schedule
-#: replay.  Order-of-magnitude calibration from BENCH_dp: adaptive
-#: replays are dominated by replan solves, static replays are a few
-#: array passes.
-_DP_TRACE_WEIGHT = 48.0
+#: Estimated cost of one trace replayed under a DP policy with the
+#: reference grid (n_grid=96), in lane-attempts (one attempt of one
+#: lockstep lane).  Order-of-magnitude calibration on Table 4: a
+#: DPNextFailure trace takes ~0.04 s (warm solve tier) to ~0.25 s
+#: (cold), a lane-attempt ~0.2 us.
+_DP_TRACE_WEIGHT = 1e6
+
+#: Estimated cost of one trace replayed through the scalar engine under
+#: a non-DP adaptive policy, in lane-attempts.
+_SCALAR_TRACE_WEIGHT = 2e4
+
+
+#: Estimated cost of one lockstep step (the Python-level array calls
+#: every step makes, whatever its lane count), in lane-attempts.  On the
+#: perfbench static sweep (2 workers) a step costs ~80 us against
+#: ~0.2 us a lane-attempt.
+_STEP_WEIGHT = 400.0
+
+
+def _lockstep_cost(n_traces: int, attempts: list[float]) -> float:
+    """Estimated cost of one lockstep pass over ``n_traces`` traces of
+    lanes with these per-trace attempt counts: every lane-attempt, plus
+    the per-step overhead of the longest lane."""
+    return float(n_traces * sum(attempts) + _STEP_WEIGHT * max(attempts, default=0.0))
+
+
+def _declares_schedule(policy) -> bool:
+    """Whether ``policy`` may declare a static schedule (it overrides
+    :meth:`Policy.static_schedule`): such policies replay in lockstep
+    units, every other one per trace in adaptive units."""
+    return type(policy).static_schedule is not Policy.static_schedule
 
 
 def _policy_weight(policy) -> float:
-    """Estimated per-trace replay cost of ``policy`` (1.0 = one
-    vectorized static-schedule replay).  DP policies scale with their
-    grid resolution."""
+    """Estimated per-trace cost of an adaptive ``policy`` in
+    lane-attempts.  DP policies scale with their grid resolution."""
     n_grid = getattr(policy, "n_grid", None)
     if n_grid is None:
-        return 1.0
-    return max(1.0, _DP_TRACE_WEIGHT * (float(n_grid) / 96.0))
+        return _SCALAR_TRACE_WEIGHT
+    return max(_SCALAR_TRACE_WEIGHT, _DP_TRACE_WEIGHT * (float(n_grid) / 96.0))
+
+
+def _schedule_attempts(policy, scenario: _Scenario) -> float:
+    """Estimated attempts of one lane of ``policy``: ``work / min(period,
+    work)`` for a periodic schedule, the chunk count for a restarting
+    one, none when the policy is infeasible at setup."""
+    platform = scenario.platform
+    work_time = scenario.work_time
+    ctx = _probe_context(
+        work_time,
+        platform.checkpoint,
+        platform.recovery,
+        platform.downtime,
+        platform.num_nodes,
+        platform.dist,
+        scenario.t0,
+        platform.platform_mtbf,
+    )
+    try:
+        policy.setup(ctx)
+        schedule = policy.static_schedule(ctx)
+    except PolicyInfeasibleError:
+        return 0.0
+    if schedule is None:
+        return _SCALAR_TRACE_WEIGHT
+    if schedule.period is not None:
+        return work_time / min(schedule.period, work_time)
+    return float(len(schedule.chunks))
 
 
 # ----------------------------------------------------------------------
@@ -209,7 +279,7 @@ class _Scenario:
     # ship the replan-memo entries a unit adds back to the parent
     collect_memo_delta: bool = False
     layout: object | None = None
-    # in-process trace source (sweep groups, jobs<=1); never pickled —
+    # in-process trace source (serial runs and sweep groups); never pickled —
     # parallel dispatch always leaves it None and uses ``layout``
     local: SharedTraces | None = None
 
@@ -218,7 +288,7 @@ def _task_traces(scenario: _Scenario, indices: list[int]):
     """Materialize a work unit's traces + compiled ensemble.
 
     Preferred sources, in order: an in-process :class:`SharedTraces`
-    (``local``, serial sweep groups — never crosses a process
+    (``local``, serial runs and sweep groups — never crosses a process
     boundary), then the scenario's shared-memory publication
     (``layout``) — attach, copy the unit's rows, detach.  Fallback (no
     layout, or any attach failure): regenerate from the determinism
@@ -256,6 +326,24 @@ def _replay(scenario: _Scenario, policy, traces, ensemble):
     platform = scenario.platform
     return simulate_policy_ensemble(
         policy,
+        scenario.work_time,
+        traces,
+        platform.checkpoint,
+        platform.recovery,
+        platform.dist,
+        t0=scenario.t0,
+        platform_mtbf=platform.platform_mtbf,
+        max_makespan=scenario.max_makespan,
+        ensemble=ensemble,
+    )
+
+
+def _replay_schedules(scenario: _Scenario, policies, traces, ensemble):
+    """Every static-schedule policy of ``policies`` over a unit's traces
+    in one lockstep pass; None for a policy without a schedule."""
+    platform = scenario.platform
+    return simulate_static_policies(
+        policies,
         scenario.work_time,
         traces,
         platform.checkpoint,
@@ -335,7 +423,7 @@ class _UnitMeter:
 
 @dataclass
 class _TraceTask:
-    """Phase 1/3 unit: run ``policies`` over the traces in ``indices``."""
+    """Trace unit: run ``policies`` over the traces in ``indices``."""
 
     scenario: _Scenario
     indices: list[int]
@@ -358,15 +446,23 @@ def _run_trace_task(task: _TraceTask) -> _TraceTaskResult:
     meter = _UnitMeter(task.scenario)
     per_policy: dict[str, list[tuple[float, object]]] = {}
     infeasible: dict[str, list[int]] = {}
-    # One compiled ensemble serves every static-schedule policy of the
-    # batch (and the LowerBound); dynamic policies fall back to the
-    # scalar engine inside simulate_policy_ensemble.
+    # One compiled ensemble serves every policy of the batch (and the
+    # LowerBound).  The static-schedule policies replay together in one
+    # lockstep pass; the others through the per-policy dispatcher.
     traces, ensemble = _task_traces(task.scenario, task.indices)
+    scheduled = [p for p in task.policies if _declares_schedule(p)]
+    replayed = dict(
+        zip(
+            map(id, scheduled),
+            _replay_schedules(task.scenario, scheduled, traces, ensemble),
+        )
+    )
     for policy in task.policies:
+        results = replayed.get(id(policy))
+        if results is None:
+            results = _replay(task.scenario, policy, traces, ensemble)
         pairs: list[tuple[float, object]] = []
-        for index, res in zip(
-            task.indices, _replay(task.scenario, policy, traces, ensemble)
-        ):
+        for index, res in zip(task.indices, results):
             if res is None:
                 pairs.append((math.nan, None))
                 infeasible.setdefault(policy.name, []).append(index)
@@ -394,8 +490,8 @@ def _run_trace_task(task: _TraceTask) -> _TraceTaskResult:
 
 @dataclass
 class _PeriodTask:
-    """Phase 2 unit: mean makespan of each candidate period over the
-    search-subset traces."""
+    """Period unit: every candidate period over the search-subset
+    traces."""
 
     scenario: _Scenario
     subset_indices: list[int]
@@ -404,27 +500,51 @@ class _PeriodTask:
 
 @dataclass
 class _PeriodTaskResult:
-    means: list[float]
+    # (len(periods), len(subset_indices)) makespans, in candidate and
+    # trace index order
+    makespans: np.ndarray
     stats: _UnitStats
 
 
 def _run_period_task(task: _PeriodTask) -> _PeriodTaskResult:
     meter = _UnitMeter(task.scenario)
-    # The compiled ensemble is period-independent: one compilation is
-    # amortized over the entire candidate sweep of this work unit.
+    # The compiled ensemble is period-independent: every candidate of
+    # the unit replays over it in one lockstep pass.
     traces, ensemble = _task_traces(task.scenario, task.subset_indices)
-    means = []
-    for period in task.periods:
-        policy = PeriodicPolicy(period, name="PeriodCandidate")
-        results = _replay(task.scenario, policy, traces, ensemble)
-        # a PeriodicPolicy is never infeasible: every entry is a result
-        spans = [res.makespan for res in results if res is not None]
-        means.append(float(np.mean(spans)))
-    return _PeriodTaskResult(means=means, stats=meter.finish())
+    scenario = task.scenario
+    makespans = simulate_period_makespans(
+        task.periods,
+        scenario.work_time,
+        traces,
+        scenario.platform.checkpoint,
+        scenario.platform.recovery,
+        t0=scenario.t0,
+        max_makespan=scenario.max_makespan,
+        ensemble=ensemble,
+    )
+    return _PeriodTaskResult(makespans=makespans, stats=meter.finish())
 
 
 def _chunk(items: list, size: int) -> list[list]:
     return [items[i : i + size] for i in range(0, len(items), size)]
+
+
+def _split_by_cost(items: list, costs: list[float], parts: int) -> list[list]:
+    """At most ``parts`` contiguous, non-empty groups of ``items`` with
+    roughly equal summed ``costs``."""
+    total = float(sum(costs))
+    groups: list[list] = []
+    current: list = []
+    acc = 0.0
+    for item, cost in zip(items, costs):
+        current.append(item)
+        acc += cost
+        if len(groups) < parts - 1 and acc >= total * (len(groups) + 1) / parts:
+            groups.append(current)
+            current = []
+    if current:
+        groups.append(current)
+    return groups
 
 
 # ----------------------------------------------------------------------
@@ -444,13 +564,13 @@ class ParallelRunner:
     progress:
         Optional callback ``progress(done, total)`` invoked after every
         completed work unit (trace batch, period batch, winner batch).
-        ``total`` grows as later phases enqueue their units, so treat it
-        as the best current estimate, not a constant.  Used by the
+        ``total`` grows when the winner replay enqueues its units, so
+        treat it as the best current estimate, not a constant.  Used by the
         scenario service for its status/stream JSON; never affects
         results.  Exceptions raised by the callback propagate.
     executor:
         Optional externally-owned ``ProcessPoolExecutor`` to dispatch
-        on instead of spinning one pool per phase.  The sweep engine
+        on instead of spinning one pool per dispatch.  The sweep engine
         passes one pool for a whole grid, amortizing worker startup
         over every scenario; the caller owns its shutdown.  Ignored on
         serial runs.
@@ -468,7 +588,7 @@ class ParallelRunner:
         self._units_done = 0
         self._units_total = 0
         # per-unit cost estimates and measured seconds, accumulated
-        # across phases for ScenarioResult.scheduler
+        # across dispatches for ScenarioResult.scheduler
         self._sched_costs: list[float] = []
         self._sched_seconds: list[float] = []
 
@@ -479,38 +599,35 @@ class ParallelRunner:
         if self.progress is not None:
             self.progress(self._units_done, self._units_total)
 
-    def _map(self, fn, tasks: list, costs: list[float] | None = None):
-        """Run ``fn`` over ``tasks``, in process or on the pool; results
-        come back in task order either way.  Each completed task ticks
-        the progress callback.
+    def _map(self, calls: list[tuple[Callable, object]], costs: list[float]):
+        """Run every ``(fn, task)`` call, in process or on the pool;
+        results come back in call order either way.  Each completed
+        call ticks the progress callback.
 
-        ``costs`` (estimated per-unit cost, same length as ``tasks``)
-        turns on longest-first dispatch: units are *submitted* in
-        descending cost order (LPT — workers pick up the expensive
-        stragglers first), while collection stays in task order, so
-        callers that rely on order (period means) see no difference.
+        ``costs`` (estimated per-unit cost, one per call) sets the
+        dispatch order: units are *submitted* in descending cost order
+        (LPT — workers pick up the expensive stragglers first), while
+        collection stays in call order, so callers that rely on order
+        (period makespans) see no difference.
         """
-        self._units_total += len(tasks)
-        if costs is not None:
-            self._sched_costs.extend(costs)
-        if self.jobs <= 1 or len(tasks) <= 1:
+        self._units_total += len(calls)
+        self._sched_costs.extend(costs)
+        if self.jobs <= 1 or len(calls) <= 1:
             out = []
-            for t in tasks:
-                out.append(fn(t))
+            for fn, task in calls:
+                out.append(fn(task))
                 self._unit_done()
             return out
-        order = list(range(len(tasks)))
-        if costs is not None:
-            order.sort(key=lambda i: (-costs[i], i))
+        order = sorted(range(len(calls)), key=lambda i: (-costs[i], i))
         if self._executor is not None:
             pool, owns = self._executor, False
         else:
-            workers = min(self.jobs, len(tasks))
+            workers = min(self.jobs, len(calls))
             pool, owns = ProcessPoolExecutor(max_workers=workers), True
         try:
-            futures = {i: pool.submit(fn, tasks[i]) for i in order}
+            futures = {i: pool.submit(*calls[i]) for i in order}
             out = []
-            for i in range(len(tasks)):
+            for i in range(len(calls)):
                 out.append(futures[i].result())
                 self._unit_done()
             return out
@@ -519,19 +636,25 @@ class ParallelRunner:
                 pool.shutdown()
 
     def _trace_batches(
-        self, indices: list[int], per_trace_cost: float = 1.0
+        self, indices: list[int], per_trace_cost: float = 0.0
     ) -> list[list[int]]:
         """Split trace indices into work units.
 
-        The granularity adapts to the estimated per-trace cost: cheap
-        vectorized replays stay chunky (~4 units per worker, little
-        IPC), while expensive adaptive replays split finer — imbalance
-        there costs whole DP solves, and the extra dispatch overhead is
-        noise next to one unit's runtime.  Batching never affects
-        results (traces are stitched back by index).
+        The granularity adapts to the estimated per-trace cost of an
+        adaptive unit (lane-attempts): a scalar-engine replay gets ~2
+        units per worker, expensive DP replays split finer (up to 16) —
+        imbalance there costs whole DP solves, and the extra dispatch
+        overhead is noise next to one unit's runtime.  Lockstep units
+        leave the cost at 0 and get one unit per worker: a lockstep
+        pass pays its per-step Python overhead once per unit, whatever
+        its lane count.  Batching never affects results (traces are
+        stitched back by index).
         """
         units_per_worker = int(
-            min(16, max(4, round(2.0 * math.sqrt(max(per_trace_cost, 1.0)))))
+            min(
+                16,
+                max(1, round(2.0 * math.sqrt(per_trace_cost / _SCALAR_TRACE_WEIGHT))),
+            )
         )
         size = max(
             1, math.ceil(len(indices) / max(1, self.jobs * units_per_worker))
@@ -594,7 +717,7 @@ class ParallelRunner:
         self._sched_costs = []
         self._sched_seconds = []
         # With several workers, each unit ships back the memo entries it
-        # added; the parent merges them so later phases fork warm.
+        # added; the parent merges them so later pools fork warm.
         scenario = _Scenario(
             platform=platform,
             work_time=work_time,
@@ -604,36 +727,40 @@ class ParallelRunner:
             max_makespan=max_makespan,
             collect_memo_delta=self.jobs > 1,
         )
-        # Publish the scenario's traces (and compiled ensemble) once so
-        # workers attach instead of regenerating per task.  Serial runs
-        # skip it: the in-process path touches each trace exactly once.
-        # A sweep-shared trace set short-circuits both: the group owner
+        # Generate the scenario's traces and compile its ensemble once:
+        # the lockstep, adaptive and period units all read them.  Serial
+        # runs keep them in process; parallel runs publish them so
+        # workers attach instead of regenerating per task.  A
+        # sweep-shared trace set short-circuits both: the group owner
         # already generated (and, with jobs>1, published) the arrays.
         publication = None
         if shared is not None:
             scenario.layout = shared.layout
             if self.jobs <= 1:
                 scenario.local = shared
-        elif self.jobs > 1 and n_traces > 0:
-            try:
-                all_traces = [
-                    _job_trace(platform, horizon, seed, i)
-                    for i in range(n_traces)
-                ]
-                publication = _shm.publish_scenario(
-                    all_traces,
-                    TraceEnsemble(all_traces, platform.recovery, t0),
-                    n_units=platform.num_nodes,
-                    downtime=platform.downtime,
-                    horizon=horizon,
-                    recovery=platform.recovery,
-                    t0=t0,
-                )
-                scenario.layout = publication.layout
-            except Exception:
-                # no shared memory on this platform / size limits: fall
-                # back to per-task regeneration (bit-identical)
-                publication = None
+        elif n_traces > 0:
+            all_traces = [
+                _job_trace(platform, horizon, seed, i) for i in range(n_traces)
+            ]
+            ensemble = TraceEnsemble(all_traces, platform.recovery, t0)
+            if self.jobs <= 1:
+                scenario.local = SharedTraces(all_traces, ensemble)
+            else:
+                try:
+                    publication = _shm.publish_scenario(
+                        all_traces,
+                        ensemble,
+                        n_units=platform.num_nodes,
+                        downtime=platform.downtime,
+                        horizon=horizon,
+                        recovery=platform.recovery,
+                        t0=t0,
+                    )
+                    scenario.layout = publication.layout
+                except Exception:
+                    # no shared memory on this platform / size limits:
+                    # fall back to per-task regeneration (bit-identical)
+                    publication = None
         try:
             result = self._run_phases(
                 scenario,
@@ -672,12 +799,8 @@ class ParallelRunner:
         from repro.simulation.runner import LOWER_BOUND, PERIOD_LB, ScenarioResult
         from repro.simulation.runner import _optexp_period
 
-        # Per-trace cost estimate drives chunk granularity and the
-        # longest-first dispatch order.
-        per_trace_cost = sum(_policy_weight(p) for p in policies)
-        if include_lower_bound:
-            per_trace_cost += 1.0
-
+        platform = scenario.platform
+        work_time = scenario.work_time
         totals = dict.fromkeys(_UNIT_COUNTERS, 0)
         # the union of delta keys is the deduplicated miss count
         merged_keys: set = set()
@@ -690,21 +813,62 @@ class ParallelRunner:
                 _shm.merge_memo_delta(stats.memo_delta)
                 merged_keys.update(key for key, _value in stats.memo_delta)
 
+        # Every unit of the scenario is built up front and dispatched
+        # together; costs are estimated lane-attempts.
         indices = list(range(n_traces))
-        tasks = [
-            _TraceTask(
-                scenario=scenario,
-                indices=batch,
-                policies=policies,
-                include_lower_bound=include_lower_bound,
+        calls: list[tuple[Callable, object]] = []
+        costs: list[float] = []
+        static = [p for p in policies if _declares_schedule(p)]
+        adaptive = [p for p in policies if not _declares_schedule(p)]
+        if adaptive:
+            per_trace = sum(_policy_weight(p) for p in adaptive)
+            for batch in self._trace_batches(indices, per_trace):
+                calls.append(
+                    (_run_trace_task, _TraceTask(scenario, batch, adaptive, False))
+                )
+                costs.append(float(len(batch) * per_trace))
+        if static or include_lower_bound:
+            attempts = [_schedule_attempts(policy, scenario) for policy in static]
+            if include_lower_bound:
+                # one lockstep step per failure window
+                attempts.append(1.0 + work_time / platform.platform_mtbf)
+            for batch in self._trace_batches(indices):
+                calls.append(
+                    (
+                        _run_trace_task,
+                        _TraceTask(scenario, batch, static, include_lower_bound),
+                    )
+                )
+                costs.append(_lockstep_cost(len(batch), attempts))
+
+        if include_period_lb:
+            from repro.policies.periodlb import candidate_factors
+
+            subset = indices[: (period_lb_traces or n_traces)]
+            factors = (
+                period_lb_factors
+                if period_lb_factors is not None
+                else candidate_factors()
             )
-            for batch in self._trace_batches(indices, per_trace_cost)
-        ]
-        results = self._map(
-            _run_trace_task,
-            tasks,
-            costs=[len(t.indices) * per_trace_cost for t in tasks],
-        )
+            base = _optexp_period(platform, work_time)
+            periods = np.asarray(sorted(base * np.asarray(factors, dtype=float)))
+            period_attempts = [work_time / min(p, work_time) for p in periods]
+            for group in _split_by_cost(
+                list(range(periods.size)), period_attempts, self.jobs
+            ):
+                calls.append(
+                    (
+                        _run_period_task,
+                        _PeriodTask(
+                            scenario=scenario,
+                            subset_indices=subset,
+                            periods=[float(periods[i]) for i in group],
+                        ),
+                    )
+                )
+                costs.append(
+                    _lockstep_cost(len(subset), [period_attempts[i] for i in group])
+                )
 
         makespans: dict[str, np.ndarray] = {
             p.name: np.full(n_traces, np.nan) for p in policies
@@ -712,8 +876,12 @@ class ParallelRunner:
         details: dict[str, list] = {p.name: [None] * n_traces for p in policies}
         infeasible: dict[str, list[int]] = {}
         lb_spans = np.full(n_traces, np.nan)
-        for res in results:
+        candidate_spans: list[np.ndarray] = []
+        for res in self._map(calls, costs):
             _absorb(res.stats)
+            if isinstance(res, _PeriodTaskResult):
+                candidate_spans.append(res.makespans)
+                continue
             for name, pairs in res.per_policy.items():
                 for index, (span, det) in zip(res.indices, pairs):
                     makespans[name][index] = span
@@ -730,54 +898,33 @@ class ParallelRunner:
 
         best_period = math.nan
         if include_period_lb:
-            from repro.policies.periodlb import candidate_factors
-
-            factors = (
-                period_lb_factors
-                if period_lb_factors is not None
-                else candidate_factors()
-            )
-            base = _optexp_period(scenario.platform, scenario.work_time)
-            periods = np.asarray(sorted(base * np.asarray(factors, dtype=float)))
-            subset = indices[: (period_lb_traces or n_traces)]
-            per_unit = max(
-                1, math.ceil(periods.size / max(1, self.jobs * 2))
-            )
-            period_tasks = [
-                _PeriodTask(scenario=scenario, subset_indices=subset, periods=batch)
-                for batch in _chunk(list(periods), per_unit)
-            ]
-            # candidate periods replay vectorized (weight 1 per trace)
-            period_costs = [
-                len(t.periods) * len(t.subset_indices) for t in period_tasks
-            ]
-            means: list[float] = []
-            for period_res in self._map(
-                _run_period_task, period_tasks, costs=period_costs
-            ):
-                means.extend(period_res.means)
-                _absorb(period_res.stats)
+            spans = np.concatenate(candidate_spans)
+            means = [float(np.mean(row)) for row in spans]
             best = int(np.argmin(means))
             best_period = float(periods[best])
-
-            winner_tasks = [
-                _TraceTask(
-                    scenario=scenario,
-                    indices=batch,
-                    policies=[PeriodicPolicy(best_period, name=PERIOD_LB)],
-                    include_lower_bound=False,
-                )
-                for batch in self._trace_batches(indices)
-            ]
+            # the winner's candidate lanes are its PeriodLB replays; only
+            # traces outside the search subset still need one
             lb_period_spans = np.full(n_traces, np.nan)
-            for res in self._map(
-                _run_trace_task,
-                winner_tasks,
-                costs=[float(len(t.indices)) for t in winner_tasks],
-            ):
-                _absorb(res.stats)
-                for index, (span, _det) in zip(res.indices, res.per_policy[PERIOD_LB]):
-                    lb_period_spans[index] = span
+            lb_period_spans[: len(subset)] = spans[best]
+            rest = indices[len(subset) :]
+            if rest:
+                winner = [PeriodicPolicy(best_period, name=PERIOD_LB)]
+                winner_calls: list[tuple[Callable, object]] = [
+                    (_run_trace_task, _TraceTask(scenario, batch, winner, False))
+                    for batch in self._trace_batches(rest)
+                ]
+                for res in self._map(
+                    winner_calls,
+                    [
+                        _lockstep_cost(len(task.indices), [period_attempts[best]])
+                        for _fn, task in winner_calls
+                    ],
+                ):
+                    _absorb(res.stats)
+                    for index, (span, _det) in zip(
+                        res.indices, res.per_policy[PERIOD_LB]
+                    ):
+                        lb_period_spans[index] = span
             makespans[PERIOD_LB] = lb_period_spans
 
         return ScenarioResult(

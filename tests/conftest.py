@@ -115,12 +115,57 @@ def bypass_solve_caches(mp):
 
 
 def scalar_replay(mp):
-    """One scalar ``simulate_job`` per (policy, trace): the batch
-    engine declines every policy, so the runner's dispatcher takes its
-    scalar fallback."""
+    """One scalar ``simulate_job`` per (policy, trace) and per (PeriodLB
+    candidate, trace): the batch engine declines every policy, so the
+    runner's dispatcher takes its scalar fallback, and the lockstep
+    kernel fails the test if anything still reaches it."""
     import repro.simulation.batch as batch
+    import repro.simulation.parallel as parallel
+    from repro.policies.base import PeriodicPolicy
+    from repro.simulation.engine import simulate_job
+
+    def no_static_policies(policies, *args, **kw):
+        return [None] * len(policies)
+
+    def scalar_period_makespans(
+        periods,
+        work_time,
+        traces,
+        checkpoint,
+        recovery,
+        t0=0.0,
+        max_makespan=np.inf,
+        ensemble=None,
+    ):
+        # a periodic policy reads no distribution
+        return np.asarray(
+            [
+                [
+                    simulate_job(
+                        PeriodicPolicy(period, name="PeriodCandidate"),
+                        work_time,
+                        tr,
+                        checkpoint,
+                        recovery,
+                        None,
+                        t0=t0,
+                        max_makespan=max_makespan,
+                    ).makespan
+                    for tr in traces
+                ]
+                for period in periods
+            ],
+            dtype=float,
+        ).reshape(len(periods), len(traces))
+
+    def kernel_called(*args, **kw):
+        raise AssertionError("lockstep kernel reached under scalar_replay")
 
     mp.setattr(batch, "simulate_job_batch", lambda *args, **kw: None)
+    mp.setattr(batch, "_replay_lanes", kernel_called)
+    for module in (batch, parallel):
+        mp.setattr(module, "simulate_static_policies", no_static_policies)
+        mp.setattr(module, "simulate_period_makespans", scalar_period_makespans)
 
 
 def disk_tier_off(mp):

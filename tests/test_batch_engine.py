@@ -28,9 +28,12 @@ from repro.policies.classical import DalyHigh, DalyLow, OptExp, Young
 from repro.policies.liu import Liu
 from repro.simulation.batch import (
     TraceEnsemble,
+    _replay_lanes,
     simulate_job_batch,
     simulate_lower_bound_batch,
+    simulate_period_makespans,
     simulate_policy_ensemble,
+    simulate_static_policies,
 )
 from repro.simulation.engine import JobContext, simulate_job, simulate_lower_bound
 from repro.traces.generation import PlatformTraces, generate_platform_traces
@@ -399,3 +402,234 @@ class TestRunnerDispatch:
         for name in b.details:
             for da, db in zip(a.details[name], b.details[name]):
                 assert_same_result(da, db, label=name)
+
+    def test_scalar_replay_never_reaches_the_kernel(self, monkeypatch):
+        """Under the ``scalar_replay`` oracle the lockstep kernel is
+        unreachable (it raises), yet a run with static policies and the
+        PeriodLB search completes — and a second run with jobs=2 agrees."""
+        from repro.cluster.models import ConstantOverhead, Platform
+        from repro.simulation import batch
+        from repro.simulation.runner import run_scenarios
+
+        from .conftest import scalar_replay
+
+        dist = Exponential(1.0 / (12 * HOUR))
+        platform = Platform(
+            p=4, dist=dist, downtime=60.0, overhead=ConstantOverhead(600.0)
+        )
+        kw = dict(
+            platform=platform,
+            work_time=10 * HOUR,
+            n_traces=4,
+            horizon=30 * 24 * HOUR,
+            seed=9,
+            period_lb_factors=[0.5, 1.0, 2.0],
+        )
+        with monkeypatch.context() as mp:
+            scalar_replay(mp)
+            with pytest.raises(AssertionError):
+                batch._replay_lanes(None, [], 1.0, 1.0, math.inf)
+            serial = run_scenarios([Young(), Bouguerra()], jobs=1, **kw)
+            pooled = run_scenarios([Young(), Bouguerra()], jobs=2, **kw)
+        for name in serial.makespans:
+            assert np.array_equal(
+                serial.makespans[name], pooled.makespans[name], equal_nan=True
+            ), name
+
+
+def _scalar_twin(schedule):
+    """The scalar policy whose replay a lane of ``schedule`` mirrors."""
+    if schedule.period is not None:
+        return PeriodicPolicy(schedule.period)
+    return RestartingChunks(schedule.chunks)
+
+
+def _compactions(attempts: np.ndarray) -> int:
+    """How often the kernel's rule (compact when at most half of the
+    held lanes are active) fires for lanes making these attempt counts:
+    a lane is active at step ``s`` while it has attempts left."""
+    held, count = attempts.size, 0
+    for step in range(int(attempts.max(initial=0))):
+        active = int(np.count_nonzero(attempts > step))
+        if 2 * active <= held:
+            held, count = active, count + 1
+    return count
+
+
+class TestLockstepLanes:
+    """Seeded property test of the multi-schedule kernel: random mixes
+    of periodic and restarting-chunk lanes, every lane compared field
+    for field with the scalar engine."""
+
+    @staticmethod
+    def _traces(rng, n_units, dist, horizon):
+        traces = [
+            generate_platform_traces(
+                dist,
+                n_units,
+                horizon,
+                downtime=60.0,
+                seed=np.random.SeedSequence([int(rng.integers(1 << 30)), i]),
+            ).for_job(n_units)
+            for i in range(int(rng.integers(3, 7)))
+        ]
+        # exact-compile traces: dead events inside a unit's own downtime
+        # and a cascade, plus a failure-free trace
+        traces.append(make_traces([[100.0, 120.0, 130.0, 4000.0]] + [[]] * (n_units - 1)))
+        traces.append(make_traces([[100.0, 130.0, 400.0], [135.0]] + [[]] * (n_units - 2))
+                      if n_units >= 2 else make_traces([[100.0, 130.0, 400.0]]))
+        traces.append(make_traces([[]] * n_units))
+        return traces
+
+    @staticmethod
+    def _schedules(rng, work):
+        out = []
+        for _ in range(int(rng.integers(2, 9))):
+            if rng.random() < 0.7:
+                # periods spread over four decades: lanes finish at very
+                # different steps, so the kernel compacts several times
+                out.append(StaticSchedule(period=float(work * 10 ** rng.uniform(-3.0, 0.5))))
+            else:
+                n = int(rng.integers(1, 12))
+                out.append(
+                    StaticSchedule(chunks=rng.uniform(0.01, 0.5, size=n) * work)
+                )
+        return out
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_lane_mixes_match_scalar(self, seed):
+        rng = np.random.default_rng([2011, seed])
+        n_units = int(rng.choice([1, 4]))
+        dist = (
+            Weibull.from_mtbf(8 * HOUR, 0.7)
+            if seed % 2
+            else Exponential(1.0 / (8 * HOUR))
+        )
+        work = [20 * HOUR, 10 * HOUR, 50.0, 5e-7][seed % 4]  # tiny, and 0-attempt
+        checkpoint, recovery = 600.0, 300.0
+        traces = self._traces(rng, n_units, dist, 60 * 24 * HOUR)
+        schedules = self._schedules(rng, max(work, 1.0))
+        t0 = float(rng.choice([0.0, 110.0, 5000.0]))  # 110: inside downtimes
+        # every fourth seed aborts some lanes at a makespan cap
+        cap = 1.5 * work if seed % 4 == 1 else math.inf
+        ens = TraceEnsemble(traces, recovery, t0)
+        lanes = _replay_lanes(ens, schedules, work, checkpoint, cap)
+        for s, schedule in enumerate(schedules):
+            batch = lanes.results(s)
+            for i, tr in enumerate(traces):
+                try:
+                    ref = simulate_job(
+                        _scalar_twin(schedule),
+                        work,
+                        tr,
+                        checkpoint,
+                        recovery,
+                        dist,
+                        t0=t0,
+                        max_makespan=cap,
+                    )
+                except PolicyInfeasibleError:
+                    ref = None
+                assert_same_result(batch[i], ref, label=f"schedule {s} trace {i}")
+
+    def test_cases_cover_kernel_paths(self):
+        """The seeds above reach every path the property claims:
+        exhaustion, aborts, 0-attempt lanes and repeated compaction."""
+        seen = dict(exhausted=0, aborted=0, zero=0, compactions=0)
+        for seed in range(12):
+            rng = np.random.default_rng([2011, seed])
+            n_units = int(rng.choice([1, 4]))
+            dist = (
+                Weibull.from_mtbf(8 * HOUR, 0.7)
+                if seed % 2
+                else Exponential(1.0 / (8 * HOUR))
+            )
+            work = [20 * HOUR, 10 * HOUR, 50.0, 5e-7][seed % 4]
+            traces = self._traces(rng, n_units, dist, 60 * 24 * HOUR)
+            schedules = self._schedules(rng, max(work, 1.0))
+            t0 = float(rng.choice([0.0, 110.0, 5000.0]))
+            cap = 1.5 * work if seed % 4 == 1 else math.inf
+            lanes = _replay_lanes(
+                TraceEnsemble(traces, 300.0, t0), schedules, work, 600.0, cap
+            )
+            seen["exhausted"] += int(lanes.infeasible.sum())
+            seen["aborted"] += int((~lanes.completed).sum())
+            seen["zero"] += int((lanes.n_attempts == 0).sum())
+            seen["compactions"] = max(
+                seen["compactions"], _compactions(lanes.n_attempts)
+            )
+        assert seen["exhausted"] and seen["aborted"] and seen["zero"]
+        assert seen["compactions"] >= 3
+
+    def test_static_policies_one_pass_equals_per_policy(self):
+        """``simulate_static_policies`` over a mix (periodic family, Liu,
+        a restarting schedule, a dynamic policy, a setup-infeasible
+        policy) equals one ``simulate_policy_ensemble`` per policy."""
+
+        class Adaptive(Policy):
+            name = "Adaptive"
+
+            def next_chunk(self, remaining, ctx):
+                return remaining
+
+        class NeverFeasible(PeriodicPolicy):
+            def setup(self, ctx):
+                raise PolicyInfeasibleError("never")
+
+        dist = Weibull.from_mtbf(18 * HOUR, 0.7)
+        traces = [
+            generate_platform_traces(
+                dist,
+                4,
+                40 * 24 * HOUR,
+                downtime=60.0,
+                seed=np.random.SeedSequence([41, i]),
+            ).for_job(4)
+            for i in range(8)
+        ]
+        policies = [
+            Young(),
+            Bouguerra(),
+            Liu(),
+            RestartingChunks([4 * HOUR, 2 * HOUR]),
+            Adaptive(),
+            NeverFeasible(HOUR, name="NeverFeasible"),
+            PeriodicPolicy(0.5 * HOUR),
+        ]
+        kw = dict(t0=5000.0, platform_mtbf=dist.mean() / 4)
+        ens = TraceEnsemble(traces, 300.0, 5000.0)
+        together = simulate_static_policies(
+            policies, 30 * HOUR, traces, 600.0, 300.0, dist, ensemble=ens, **kw
+        )
+        assert together[4] is None  # dynamic: the caller's to replay
+        assert together[5] == [None] * len(traces)
+        for policy, results in zip(policies, together):
+            if results is None:
+                continue
+            alone = simulate_policy_ensemble(
+                policy, 30 * HOUR, traces, 600.0, 300.0, dist, **kw
+            )
+            for a, b in zip(results, alone):
+                assert_same_result(a, b, label=policy.name)
+
+    def test_period_makespans_equal_per_period_replay(self):
+        dist = Exponential(1.0 / (12 * HOUR))
+        traces = [
+            generate_platform_traces(
+                dist, 2, 30 * 24 * HOUR, downtime=60.0, seed=i
+            ).for_job(2)
+            for i in range(5)
+        ]
+        periods = [0.1 * HOUR, HOUR, 3 * HOUR, 40 * HOUR]
+        spans = simulate_period_makespans(
+            periods, 20 * HOUR, traces, 600.0, 300.0, t0=0.0
+        )
+        assert spans.shape == (len(periods), len(traces))
+        for row, period in zip(spans, periods):
+            ref = [
+                simulate_job(
+                    PeriodicPolicy(period), 20 * HOUR, tr, 600.0, 300.0, dist
+                ).makespan
+                for tr in traces
+            ]
+            assert list(row) == ref

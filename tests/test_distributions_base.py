@@ -118,3 +118,45 @@ def test_conditional_sampling_consistent_with_psuc(dist):
     x_probe = DAY / 2
     emp = float(np.mean(xs >= x_probe))
     assert emp == pytest.approx(float(dist.psuc(x_probe, tau)), abs=0.02)
+
+
+class TestSimpson:
+    """The numpy Simpson helper is pinned to ``scipy.integrate.simpson``
+    bit for bit on the grids its two call sites integrate."""
+
+    def test_min_of_iid_mean_grids(self):
+        from scipy.integrate import simpson as scipy_simpson
+
+        from repro.distributions import Weibull
+        from repro.distributions.base import simpson
+        from repro.distributions.minimum import MinOfIID
+
+        rng = np.random.default_rng(20111)
+        for _ in range(100):
+            law = MinOfIID(
+                Weibull.from_mtbf(rng.uniform(1e3, 1e8), rng.uniform(0.3, 2.0)),
+                int(rng.integers(1, 100_000)),
+            )
+            ts = np.linspace(0.0, float(law.quantile(1.0 - 1e-9)), 4097)
+            y = law.sf(ts)
+            assert simpson(y, ts) == float(scipy_simpson(y, x=ts))
+            assert law.mean() == float(scipy_simpson(y, x=ts))
+
+    @pytest.mark.parametrize("dist", DISTS, ids=dist_id)
+    def test_expected_tlost_grids(self, dist):
+        from scipy.integrate import simpson as scipy_simpson
+
+        from repro.distributions.base import simpson
+
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            x, tau = rng.uniform(1.0, 3 * DAY), rng.uniform(0.0, 3 * DAY)
+            ts = np.linspace(0.0, x, 257)
+            s = dist.sf(tau + ts)
+            assert simpson(s - s[-1], ts) == float(scipy_simpson(s - s[-1], x=ts))
+
+    def test_rejects_even_point_counts(self):
+        from repro.distributions.base import simpson
+
+        with pytest.raises(ValueError):
+            simpson(np.ones(4), np.arange(4.0))

@@ -89,6 +89,42 @@ class TestDeterminism:
         )
 
 
+class TestPeriodLBFromCandidateLanes:
+    """PeriodLB's makespans are the winning candidate's lanes (and a
+    replay of the traces outside the search subset): they must equal a
+    fresh replay of the winning period over every trace."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("period_lb_traces", [None, 4])
+    def test_equals_fresh_winner_replay(self, jobs, period_lb_traces):
+        from repro.policies.base import PeriodicPolicy
+        from repro.simulation.batch import simulate_policy_ensemble
+        from repro.simulation.parallel import _job_trace
+
+        platform = _platform(Weibull.from_mtbf(12 * HOUR, 0.7))
+        horizon = 200 * DAY
+        res = _run(
+            [Young()],
+            platform,
+            jobs=jobs,
+            n_traces=7,
+            horizon=horizon,
+            period_lb_factors=[0.25, 0.5, 1.0, 2.0, 4.0],
+            period_lb_traces=period_lb_traces,
+        )
+        traces = [_job_trace(platform, horizon, 7, i) for i in range(7)]
+        fresh = simulate_policy_ensemble(
+            PeriodicPolicy(res.best_period, name=PERIOD_LB),
+            DAY,
+            traces,
+            platform.checkpoint,
+            platform.recovery,
+            platform.dist,
+            platform_mtbf=platform.platform_mtbf,
+        )
+        assert list(res.makespans[PERIOD_LB]) == [r.makespan for r in fresh]
+
+
 class TestResultStructure:
     def test_all_entries_present(self):
         platform = _platform(Exponential.from_mtbf(12 * HOUR))

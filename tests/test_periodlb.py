@@ -74,3 +74,49 @@ class TestSearch:
         )
         assert res.best_period > opt / 3
         assert res.best_period < opt * 3
+
+
+class TestOneCallSearch:
+    def test_equals_per_candidate_replay(self):
+        """The one-call search scores every candidate exactly as one
+        ``simulate_policy_ensemble`` replay per candidate does."""
+        from repro.distributions import Weibull
+        from repro.policies.base import PeriodicPolicy
+        from repro.simulation.batch import simulate_policy_ensemble
+
+        dist = Weibull.from_mtbf(DAY, 0.7)
+        traces = [
+            generate_platform_traces(
+                dist, 4, 100 * DAY, downtime=60.0, seed=i
+            ).for_job(4)
+            for i in range(7)
+        ]
+        kw = dict(
+            work_time=2 * DAY,
+            checkpoint=600.0,
+            recovery=600.0,
+            dist=dist,
+            t0=3 * HOUR,
+            platform_mtbf=DAY / 4,
+        )
+        factors = candidate_factors(n_linear=6, n_geometric=8)
+        res = best_period_search(
+            base_period=2 * HOUR, job_traces=traces, factors=factors, **kw
+        )
+        periods = np.asarray(sorted(2 * HOUR * np.asarray(factors)))
+        means = []
+        for period in periods:
+            results = simulate_policy_ensemble(
+                PeriodicPolicy(period, name="PeriodCandidate"),
+                kw["work_time"],
+                traces,
+                kw["checkpoint"],
+                kw["recovery"],
+                dist,
+                t0=kw["t0"],
+                platform_mtbf=kw["platform_mtbf"],
+            )
+            means.append(float(np.mean([r.makespan for r in results])))
+        assert np.array_equal(res.periods, periods)
+        assert list(res.mean_makespans) == means
+        assert res.best_period == float(periods[int(np.argmin(means))])
