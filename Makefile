@@ -1,8 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint test test-fast bench-smoke bench-engine bench-dp \
-	bench-solvecache bench-sweep perfbench-check service-smoke verify
+.PHONY: lint test test-fast bench-smoke perfbench-check service-smoke verify
 
 # Static analysis.  reprolint (stdlib-only, part of this package) runs
 # its whole rule set — per-file, whole-program and interprocedural — in
@@ -37,30 +36,6 @@ bench-smoke:
 	REPRO_BENCH_PPOINTS=2 REPRO_BENCH_JOBS=2 \
 		$(PYTHON) -m pytest benchmarks/bench_fig2_peta_exp.py --benchmark-only -q
 
-# Engine benchmark at smoke scale: verifies the batch replay and the
-# vectorized DPMakespan sweep are bit-identical to their scalar/loop
-# references (full scale: python benchmarks/bench_engine.py).
-bench-engine:
-	$(PYTHON) benchmarks/bench_engine.py --smoke
-
-# Adaptive-policy pipeline benchmark at smoke scale: verifies the
-# vectorized kernels, replan memo and shared-memory publication are
-# bit-identical (full scale: python benchmarks/bench_dp_pipeline.py).
-bench-dp:
-	$(PYTHON) benchmarks/bench_dp_pipeline.py --smoke
-
-# Persistent solve-cache benchmark at smoke scale: verifies cold,
-# disk-warm (second process) and shared-memo (--jobs 2) runs are
-# bit-identical (full scale: python benchmarks/bench_solvecache.py).
-bench-solvecache:
-	$(PYTHON) benchmarks/bench_solvecache.py --smoke
-
-# Grid-sweep benchmark at smoke scale: verifies the shared-trace sweep
-# plan is bit-identical to running every grid point independently
-# (full scale: python benchmarks/bench_sweep.py).
-bench-sweep:
-	$(PYTHON) benchmarks/bench_sweep.py --smoke
-
 # End-to-end golden gate: one table4_cold pass of perfbench (~30 s),
 # which solves every replan and writes the disk tier, one table4_warm
 # pass, which replays the goldens through disk-tier loads (the replan
@@ -91,6 +66,6 @@ perfbench-check:
 service-smoke:
 	$(PYTHON) -m repro.service.smoke
 
-# What CI / pre-merge should run (CI also runs bench-engine as its own
-# step).
+# What CI / pre-merge should run (CI also runs perfbench-check and the
+# full suite as their own steps).
 verify: lint test-fast bench-smoke service-smoke

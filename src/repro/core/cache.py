@@ -39,8 +39,7 @@ hosts) before solving cold, and publish fresh solves back to it.  A
 disk hit is bit-identical to a cold solve (NumPy's binary format
 round-trips the tables exactly), so the tier never changes results —
 only who pays the solve.  ``configure_disk_cache(enabled=False)`` (the
-``--no-disk-cache`` / ``REPRO_BENCH_NO_DISKCACHE`` switches) bypasses it
-entirely.
+``--no-disk-cache`` switch) bypasses it entirely.
 
 Replan memo
 -----------

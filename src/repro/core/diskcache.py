@@ -19,7 +19,8 @@ processes that would solve the same DP share one file.  Payloads are
 single ``.npz`` documents (NumPy's binary format round-trips float64
 arrays bit-exactly) with a JSON metadata record embedded alongside the
 arrays; a disk-warm solve is therefore *bit-identical* to a cold solve,
-which the tests and ``benchmarks/bench_solvecache.py --smoke`` gate.
+which the tests and ``make perfbench-check`` (a fresh process over a
+tier another process filled) gate.
 
 Durability discipline (the same R10 contract the result store obeys):
 
@@ -56,8 +57,8 @@ The tier is observable: per-process hit/miss/store/evict counters feed
 and advisory lifetime counters are persisted next to the entries for
 ``repro store`` — at the end of every work unit, by ``usage()`` and
 ``lifetime()``, and at interpreter exit for a process that stored.
-``--no-disk-cache`` / ``REPRO_BENCH_NO_DISKCACHE`` bypass the tier
-entirely (the slow path is simply the cold solve).
+``--no-disk-cache`` bypasses the tier entirely (the slow path is simply
+the cold solve).
 """
 
 from __future__ import annotations

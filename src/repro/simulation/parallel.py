@@ -157,7 +157,7 @@ def resolve_jobs(jobs: int | None) -> int:
 
 @dataclass
 class SharedTraces:
-    """A scenario trace set owned by someone else (the sweep engine).
+    """A scenario trace set (:func:`_build_trace_set`): one run's or a sweep group's.
 
     ``traces`` / ``ensemble`` are in-process references used on the
     serial path (``jobs <= 1``); ``layout`` is the shared-memory recipe
@@ -263,6 +263,40 @@ def _job_trace(platform: Platform, horizon: float, seed: int, index: int):
         downtime=platform.downtime,
         seed=np.random.SeedSequence([int(seed), int(index)]),
     ).for_job(platform.num_nodes)
+
+
+def _build_trace_set(
+    platform: Platform,
+    horizon: float,
+    seed: int,
+    n_traces: int,
+    t0: float,
+    publish: bool,
+) -> tuple[SharedTraces, _shm.ScenarioPublication | None]:
+    """Generate a scenario's traces and compile its ensemble once; with
+    ``publish``, also publish both to shared memory for parallel workers.
+    Returns the set and its publication (``None`` if unpublished), which
+    the caller closes after its last run over the set."""
+    traces = [_job_trace(platform, horizon, seed, i) for i in range(n_traces)]
+    ensemble = TraceEnsemble(traces, platform.recovery, t0)
+    publication = None
+    if publish and traces:
+        try:
+            publication = _shm.publish_scenario(
+                traces,
+                ensemble,
+                n_units=platform.num_nodes,
+                downtime=platform.downtime,
+                horizon=horizon,
+                recovery=platform.recovery,
+                t0=t0,
+            )
+        except Exception:
+            # no shared memory here / size limits: workers regenerate
+            # their rows instead (bit-identical)
+            publication = None
+    layout = publication.layout if publication is not None else None
+    return SharedTraces(traces, ensemble, layout), publication
 
 
 @dataclass
@@ -727,40 +761,20 @@ class ParallelRunner:
             max_makespan=max_makespan,
             collect_memo_delta=self.jobs > 1,
         )
-        # Generate the scenario's traces and compile its ensemble once:
-        # the lockstep, adaptive and period units all read them.  Serial
-        # runs keep them in process; parallel runs publish them so
-        # workers attach instead of regenerating per task.  A
-        # sweep-shared trace set short-circuits both: the group owner
-        # already generated (and, with jobs>1, published) the arrays.
+        # The lockstep, adaptive and period units all read one trace set:
+        # a sweep group's (its owner built and published it), or this
+        # scenario's own.  Serial runs read it in process; parallel
+        # workers attach to its publication.
         publication = None
-        if shared is not None:
-            scenario.layout = shared.layout
+        trace_set = shared
+        if trace_set is None and n_traces > 0:
+            trace_set, publication = _build_trace_set(
+                platform, horizon, seed, n_traces, t0, publish=self.jobs > 1
+            )
+        if trace_set is not None:
+            scenario.layout = trace_set.layout
             if self.jobs <= 1:
-                scenario.local = shared
-        elif n_traces > 0:
-            all_traces = [
-                _job_trace(platform, horizon, seed, i) for i in range(n_traces)
-            ]
-            ensemble = TraceEnsemble(all_traces, platform.recovery, t0)
-            if self.jobs <= 1:
-                scenario.local = SharedTraces(all_traces, ensemble)
-            else:
-                try:
-                    publication = _shm.publish_scenario(
-                        all_traces,
-                        ensemble,
-                        n_units=platform.num_nodes,
-                        downtime=platform.downtime,
-                        horizon=horizon,
-                        recovery=platform.recovery,
-                        t0=t0,
-                    )
-                    scenario.layout = publication.layout
-                except Exception:
-                    # no shared memory on this platform / size limits:
-                    # fall back to per-task regeneration (bit-identical)
-                    publication = None
+                scenario.local = trace_set
         try:
             result = self._run_phases(
                 scenario,

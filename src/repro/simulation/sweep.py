@@ -43,11 +43,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
-from repro.simulation import shm as _shm
-from repro.simulation.batch import TraceEnsemble
 from repro.simulation.parallel import (
     SharedTraces,
-    _job_trace,
+    _build_trace_set,
     resolve_jobs,
 )
 from repro.units import MINUTE
@@ -206,33 +204,14 @@ def _build_group(spec, jobs: int) -> _GroupResources:
     shares the trace signature), compile the ensemble, and publish to
     shared memory when parallel workers will consume it."""
     build_start = time.perf_counter()  # reprolint: clock-ok=sweep build diagnostics
-    platform = spec.build_platform()
-    horizon = spec.effective_horizon
-    traces = [
-        _job_trace(platform, horizon, spec.seed, i)
-        for i in range(spec.n_traces)
-    ]
-    ensemble = TraceEnsemble(traces, platform.recovery, spec.t0)
-    publication = None
-    layout = None
-    if jobs > 1 and traces:
-        try:
-            publication = _shm.publish_scenario(
-                traces,
-                ensemble,
-                n_units=platform.num_nodes,
-                downtime=platform.downtime,
-                horizon=horizon,
-                recovery=platform.recovery,
-                t0=spec.t0,
-            )
-            layout = publication.layout
-        except Exception:
-            # no shared memory on this platform / size limits: parallel
-            # workers fall back to per-task regeneration (bit-identical)
-            publication = None
-            layout = None
-    shared = SharedTraces(traces=traces, ensemble=ensemble, layout=layout)
+    shared, publication = _build_trace_set(
+        spec.build_platform(),
+        spec.effective_horizon,
+        spec.seed,
+        spec.n_traces,
+        spec.t0,
+        publish=jobs > 1,
+    )
     return _GroupResources(
         shared=shared,
         publication=publication,

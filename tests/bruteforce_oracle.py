@@ -1,5 +1,5 @@
 """Reference solvers: exhaustive and analytic baselines used to verify
-the dynamic programs (and available for small-scale experimentation).
+the dynamic programs.
 
 - :func:`enumerate_chunkings`: every composition of a quantized workload.
 - :func:`brute_force_next_failure`: exact NextFailure optimum by
@@ -23,13 +23,6 @@ import numpy as np
 from repro.core.dp_nextfailure import expected_work_of_schedule
 from repro.core.state import PlatformState
 from repro.core.theory import expected_trec
-
-__all__ = [
-    "enumerate_chunkings",
-    "brute_force_next_failure",
-    "expected_makespan_of_chunks",
-    "brute_force_makespan",
-]
 
 
 def enumerate_chunkings(n_quanta: int, u: float) -> Iterator[list[float]]:

@@ -7,8 +7,7 @@ time, each row's candidate chunks minimized with scalar ``argmin``.
 Both forms apply the same float operations per element and keep the
 first minimum on ties, so they must build ``np.array_equal`` tables.
 
-:func:`dp_makespan` is a drop-in for the production function;
-``benchmarks/bench_engine.py`` times it as its reference arm.
+:func:`dp_makespan` is a drop-in for the production function.
 """
 
 from __future__ import annotations

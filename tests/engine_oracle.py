@@ -17,8 +17,6 @@ import numpy as np
 from repro.simulation.results import SimulationResult
 from repro.traces.generation import JobTraces
 
-__all__ = ["simulate_job_reference"]
-
 
 class _Unit:
     """One failure unit: its future failure dates and downtime state."""

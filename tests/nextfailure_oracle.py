@@ -19,8 +19,8 @@ code path:
 - :func:`expected_work_of_schedule`: Proposition 3 as the incremental
   per-chunk product.
 
-``benchmarks/bench_dp_pipeline.py`` replays its baseline arm through
-:func:`dp_next_failure_parallel` as well.
+``conftest.bypass_solve_caches`` routes every uncached DPNextFailure
+table solve through :func:`dp_next_failure_parallel`.
 """
 
 from __future__ import annotations

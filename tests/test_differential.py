@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from repro.distributions import Exponential, Weibull
 from repro.policies.base import PeriodicPolicy
 from repro.simulation import simulate_job
-from repro.simulation.reference import simulate_job_reference
 from repro.traces.generation import PlatformTraces, generate_platform_traces
+
+from .engine_oracle import simulate_job_reference
 
 
 def both(policy_period, work, traces, c, r, dist, t0=0.0):

@@ -37,19 +37,38 @@ def _run(policies, platform, **kw):
 
 
 class TestDeterminism:
-    def test_parallel_bit_identical_to_serial(self):
+    def test_parallel_bit_identical_to_serial(self, monkeypatch):
         """The acceptance gate: fixed seed, jobs=4 vs jobs=1, identical
-        per-trace makespans for every policy including the DP ones."""
+        per-trace makespans for every policy including the DP ones.  The
+        serial and the parallel arm both solve cold (L1 cleared, no disk
+        tier); a serial rerun over the L1 caches the first run warmed
+        must agree too."""
+        from repro.core.cache import clear_cache, clear_replan_memo
+
+        disk_tier_off(monkeypatch)
         platform = _platform(Weibull.from_mtbf(12 * HOUR, 0.7))
-        policies = lambda: [Young(), OptExp(), DPNextFailurePolicy(n_grid=32)]
+        policies = lambda: [
+            Young(),
+            OptExp(),
+            DPNextFailurePolicy(n_grid=32),
+            DPMakespanPolicy(n_grid=48),
+        ]
+        clear_cache()
+        clear_replan_memo()
         serial = _run(policies(), platform, jobs=1)
+        warm = _run(policies(), platform, jobs=1)
+        clear_cache()
+        clear_replan_memo()
         parallel = _run(policies(), platform, jobs=4)
-        assert set(serial.makespans) == set(parallel.makespans)
-        for name in serial.makespans:
-            assert np.array_equal(
-                serial.makespans[name], parallel.makespans[name], equal_nan=True
-            ), name
-        assert serial.best_period == parallel.best_period
+        assert serial.cache_misses >= 1 and parallel.cache_misses >= 1
+        assert warm.cache_misses == 0 and warm.memo_misses == 0
+        for other in (warm, parallel):
+            assert set(serial.makespans) == set(other.makespans)
+            for name in serial.makespans:
+                assert np.array_equal(
+                    serial.makespans[name], other.makespans[name], equal_nan=True
+                ), name
+            assert serial.best_period == other.best_period
 
     def test_batch_size_does_not_change_results(self, monkeypatch):
         platform = _platform(Exponential.from_mtbf(12 * HOUR))

@@ -7,16 +7,17 @@ import pytest
 
 from repro.core.dp_makespan import dp_makespan
 from repro.core.dp_nextfailure import dp_next_failure
-from repro.core.reference import (
+from repro.core.state import PlatformState
+from repro.core.theory import expected_makespan_optimal
+from repro.distributions import Deterministic, Exponential, Weibull
+from repro.units import DAY, HOUR
+
+from .bruteforce_oracle import (
     brute_force_makespan,
     brute_force_next_failure,
     enumerate_chunkings,
     expected_makespan_of_chunks,
 )
-from repro.core.state import PlatformState
-from repro.core.theory import expected_makespan_optimal
-from repro.distributions import Deterministic, Exponential, Weibull
-from repro.units import DAY, HOUR
 
 
 class TestEnumeration:
