@@ -66,6 +66,7 @@ perfbench-check:
 service-smoke:
 	$(PYTHON) -m repro.service.smoke
 
-# What CI / pre-merge should run (CI also runs perfbench-check and the
-# full suite as their own steps).
+# Local pre-merge check.  CI runs lint, bench-smoke, perfbench-check,
+# service-smoke and the full suite (a superset of test-fast) as one
+# step each instead.
 verify: lint test-fast bench-smoke service-smoke

@@ -3,7 +3,8 @@
 Each benchmark runs one experiment driver once (``benchmark.pedantic``
 with a single round — the experiments are themselves statistical), then
 prints the paper-style table/series and archives it under
-``benchmarks/results/``.
+``benchmarks/results/`` (smoke runs only print it, so a smoke check
+never overwrites an archived table).
 
 The experiment scale is selected with the ``REPRO_BENCH_SCALE``
 environment variable: ``smoke`` | ``small`` (default) | ``medium`` |
@@ -26,6 +27,10 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 _SCALES = {"smoke": SMOKE, "small": SMALL, "medium": MEDIUM, "paper": PAPER}
 
 
+def _scale_name() -> str:
+    return os.environ.get("REPRO_BENCH_SCALE", "small").lower()
+
+
 def bench_scale(**overrides) -> ExperimentScale:
     """The configured scale, with per-benchmark overrides applied.
 
@@ -42,8 +47,7 @@ def bench_scale(**overrides) -> ExperimentScale:
     jobs = os.environ.get("REPRO_BENCH_JOBS")
     if jobs:
         set_default_execution(jobs=int(jobs))
-    name = os.environ.get("REPRO_BENCH_SCALE", "small").lower()
-    scale = _SCALES.get(name, SMALL)
+    scale = _SCALES.get(_scale_name(), SMALL)
     env = {}
     for var, field in (
         ("REPRO_BENCH_TRACES", "n_traces"),
@@ -64,10 +68,10 @@ def bench_scale(**overrides) -> ExperimentScale:
 
 def report(name: str, text: str) -> None:
     """Echo a result block to the real terminal (bypassing pytest's
-    capture) and archive it under ``benchmarks/results/``."""
+    capture) and archive it under ``benchmarks/results/`` — unless the
+    scale is ``smoke``, whose tables are not results."""
     import sys
 
-    RESULTS_DIR.mkdir(exist_ok=True)
     banner = f"\n===== {name} =====\n{text}\n"
     print(banner)  # captured output (visible with -s / on failure)
     try:
@@ -75,7 +79,9 @@ def report(name: str, text: str) -> None:
         sys.__stdout__.flush()
     except (AttributeError, ValueError):  # pragma: no cover - no terminal
         pass
-    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+    if _scale_name() != "smoke":
+        RESULTS_DIR.mkdir(exist_ok=True)
+        (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
 
 
 def run_once(benchmark, fn):

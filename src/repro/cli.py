@@ -320,12 +320,10 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         "warm_speedup": (cold_s / warm_s) if warm_s > 0 else None,
         "cold": {"cache_hits": cold.cache_hits, "cache_misses": cold.cache_misses,
                  "memo_hits": cold.memo_hits, "memo_misses": cold.memo_misses,
-                 "memo_unique_misses": cold.memo_unique_misses,
                  "disk_hits": cold.disk_hits, "disk_misses": cold.disk_misses,
                  "disk_evictions": cold.disk_evictions},
         "warm": {"cache_hits": warm.cache_hits, "cache_misses": warm.cache_misses,
                  "memo_hits": warm.memo_hits, "memo_misses": warm.memo_misses,
-                 "memo_unique_misses": warm.memo_unique_misses,
                  "disk_hits": warm.disk_hits, "disk_misses": warm.disk_misses,
                  "disk_evictions": warm.disk_evictions},
         "counters": aggregate_counters([cold, warm]),

@@ -41,7 +41,6 @@ from repro.core.cache import (
     cached_dp_makespan,
     cached_dp_next_failure_parallel,
     clear_cache,
-    configure_cache,
     get_cache,
 )
 
@@ -66,6 +65,5 @@ __all__ = [
     "cached_dp_makespan",
     "cached_dp_next_failure_parallel",
     "clear_cache",
-    "configure_cache",
     "get_cache",
 ]

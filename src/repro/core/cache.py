@@ -46,12 +46,12 @@ Replan memo
 A second process-wide store, the **replan memo**, sits one level above
 the table cache: it memoizes whole
 :meth:`repro.policies.dp.DPNextFailurePolicy._replan` solves across
-traces, sweeps and runner workers.  Its key is the *quantized*
-platform-state signature ``(distribution, horizon, C, u, nexact,
-napprox, compress, quantized ages)`` — see :func:`quantize_ages`.  The
-policy snaps processor ages onto the DP's own quantum lattice *before*
-solving, so a memo hit trivially returns the bit-identical
-``DPNextFailureResult`` a cold solve would produce.
+traces and sweeps (runner workers share them through the disk tier).
+Its key is the *quantized* platform-state signature ``(distribution,
+horizon, C, u, nexact, napprox, compress, quantized ages)`` — see
+:func:`quantize_ages`.  The policy snaps processor ages onto the DP's
+own quantum lattice *before* solving, so a memo hit trivially returns
+the bit-identical ``DPNextFailureResult`` a cold solve would produce.
 Quantization makes collisions common: every trace's fresh-platform
 initial plan shares one entry, truncated replans share the same horizon
 and quantum, and post-failure states (one age at zero, survivors on the
@@ -71,13 +71,11 @@ __all__ = [
     "CacheStats",
     "DPTableCache",
     "get_cache",
-    "configure_cache",
     "clear_cache",
     "cache_stats",
     "cached_dp_makespan",
     "cached_dp_next_failure_parallel",
     "get_replan_memo",
-    "configure_replan_memo",
     "clear_replan_memo",
     "replan_memo_stats",
     "quantize_ages",
@@ -141,36 +139,6 @@ class DPTableCache:
             self.hits = 0
             self.misses = 0
 
-    def snapshot_keys(self) -> frozenset:
-        """The current key set (cheap; used to compute export deltas)."""
-        with self._lock:
-            return frozenset(self._data)
-
-    def export_entries(self, exclude: frozenset = frozenset()) -> list:
-        """``(key, value)`` pairs not in ``exclude`` — the delta a
-        runner worker ships back to the parent at work-unit exit."""
-        with self._lock:
-            return [
-                (key, value)
-                for key, value in self._data.items()
-                if key not in exclude
-            ]
-
-    def merge_entries(self, items) -> int:
-        """Insert foreign ``(key, value)`` pairs (missing keys only);
-        returns how many were new.  Counters are untouched — a merge is
-        transport, not a lookup."""
-        added = 0
-        with self._lock:
-            for key, value in items:
-                if key not in self._data:
-                    self._data[key] = value
-                    self._data.move_to_end(key)
-                    added += 1
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
-        return added
-
     def stats(self) -> CacheStats:
         """Snapshot of the hit/miss counters and current size."""
         with self._lock:
@@ -187,14 +155,6 @@ _CACHE = DPTableCache()
 def get_cache() -> DPTableCache:
     """The process-wide DP table cache."""
     return _CACHE
-
-
-def configure_cache(maxsize: int | None = None) -> None:
-    """Adjust the global cache's bound."""
-    if maxsize is not None:
-        if maxsize < 1:
-            raise ValueError("maxsize must be >= 1")
-        _CACHE.maxsize = int(maxsize)
 
 
 def clear_cache() -> None:
@@ -304,15 +264,6 @@ def get_replan_memo() -> DPTableCache:
     return _REPLAN_MEMO
 
 
-def configure_replan_memo(maxsize: int | None = None) -> None:
-    """Adjust the global replan memo's bound (mirrors
-    :func:`configure_cache`)."""
-    if maxsize is not None:
-        if maxsize < 1:
-            raise ValueError("maxsize must be >= 1")
-        _REPLAN_MEMO.maxsize = int(maxsize)
-
-
 def clear_replan_memo() -> None:
     """Drop every memoized replan and reset the counters."""
     _REPLAN_MEMO.clear()
@@ -364,7 +315,7 @@ def cached_replan(
     bit-identical to a cold solve by construction.
 
     An L1 (memo) miss consults the persistent disk tier before calling
-    ``solve`` — this is how parallel runner workers share one memo:
+    ``solve`` — this is how parallel runner workers share solves:
     the first worker to solve a signature persists it, every later
     worker's L1 miss becomes a disk hit instead of a duplicate solve.
     """

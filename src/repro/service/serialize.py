@@ -109,7 +109,6 @@ def scenario_result_to_dict(result: ScenarioResult) -> dict[str, Any]:
         "cache_misses": result.cache_misses,
         "memo_hits": result.memo_hits,
         "memo_misses": result.memo_misses,
-        "memo_unique_misses": result.memo_unique_misses,
         "disk_hits": result.disk_hits,
         "disk_misses": result.disk_misses,
         "disk_evictions": result.disk_evictions,
@@ -151,7 +150,6 @@ def scenario_result_from_dict(raw: dict[str, Any]) -> ScenarioResult:
         memo_misses=int(raw["memo_misses"]),
         # absent in results stored before the disk tier existed (the
         # store_version salt usually retires those, but stay tolerant)
-        memo_unique_misses=int(raw.get("memo_unique_misses", 0)),
         disk_hits=int(raw.get("disk_hits", 0)),
         disk_misses=int(raw.get("disk_misses", 0)),
         disk_evictions=int(raw.get("disk_evictions", 0)),

@@ -57,16 +57,11 @@ longer silently swallowed.
 Caching is observable: workers return per-unit hit/miss deltas of the
 DP table cache, the DPNextFailure replan memo and the persistent disk
 tier (:mod:`repro.core.cache`, :mod:`repro.core.diskcache`), aggregated
-into ``ScenarioResult.cache_*`` / ``memo_*`` / ``disk_*``.  Because
-those sums add up *per-worker* counters, a signature solved
-independently by N workers contributes N misses;
-``ScenarioResult.memo_unique_misses`` reports the deduplicated view —
-the number of distinct memo entries actually solved.  With
-``jobs > 1`` the replan memo is additionally **shared across workers**:
-each work unit ships the memo entries it added back to the parent,
-which merges them (:func:`repro.simulation.shm.merge_memo_delta`) so
-later pools (the next scenario's, the winner replay's) fork warm, while
-the disk tier shares solves between workers inside one dispatch.
+into ``ScenarioResult.cache_*`` / ``memo_*`` / ``disk_*``.  Workers
+share DP solves only through the disk tier: the first worker to solve
+a replan signature persists it, and every later memo miss for it, in
+any process, is a disk load.  With the tier off, each process solves
+for itself.
 
 Shared-memory trace publication: with ``jobs > 1`` the parent
 generates all traces and compiles the scenario ensemble once,
@@ -310,8 +305,6 @@ class _Scenario:
     t0: float
     seed: int
     max_makespan: float
-    # ship the replan-memo entries a unit adds back to the parent
-    collect_memo_delta: bool = False
     layout: object | None = None
     # in-process trace source (serial runs and sweep groups); never pickled —
     # parallel dispatch always leaves it None and uses ``layout``
@@ -421,8 +414,6 @@ class _UnitStats:
     """What every work unit reports besides its results."""
 
     counters: dict[str, int]
-    # replan-memo entries the unit added (empty unless collected)
-    memo_delta: list
     # wall-clock the unit took in its worker (scheduler diagnostics)
     unit_seconds: float
 
@@ -430,12 +421,9 @@ class _UnitStats:
 class _UnitMeter:
     """Measures one work unit from construction to :meth:`finish`."""
 
-    def __init__(self, scenario: _Scenario) -> None:
+    def __init__(self) -> None:
         self.start = time.perf_counter()  # reprolint: clock-ok=scheduler diagnostics
         self.before = _counter_readings()
-        self.memo_keys = (
-            _shm.memo_snapshot() if scenario.collect_memo_delta else None
-        )
 
     def finish(self) -> _UnitStats:
         after = _counter_readings()
@@ -446,11 +434,6 @@ class _UnitMeter:
                 name: a - b
                 for name, a, b in zip(_UNIT_COUNTERS, after, self.before)
             },
-            memo_delta=(
-                _shm.export_memo_delta(self.memo_keys)
-                if self.memo_keys is not None
-                else []
-            ),
             unit_seconds=time.perf_counter() - self.start,  # reprolint: clock-ok=scheduler diagnostics
         )
 
@@ -477,7 +460,7 @@ class _TraceTaskResult:
 
 
 def _run_trace_task(task: _TraceTask) -> _TraceTaskResult:
-    meter = _UnitMeter(task.scenario)
+    meter = _UnitMeter()
     per_policy: dict[str, list[tuple[float, object]]] = {}
     infeasible: dict[str, list[int]] = {}
     # One compiled ensemble serves every policy of the batch (and the
@@ -541,7 +524,7 @@ class _PeriodTaskResult:
 
 
 def _run_period_task(task: _PeriodTask) -> _PeriodTaskResult:
-    meter = _UnitMeter(task.scenario)
+    meter = _UnitMeter()
     # The compiled ensemble is period-independent: every candidate of
     # the unit replays over it in one lockstep pass.
     traces, ensemble = _task_traces(task.scenario, task.subset_indices)
@@ -750,8 +733,6 @@ class ParallelRunner:
         self._units_total = 0
         self._sched_costs = []
         self._sched_seconds = []
-        # With several workers, each unit ships back the memo entries it
-        # added; the parent merges them so later pools fork warm.
         scenario = _Scenario(
             platform=platform,
             work_time=work_time,
@@ -759,7 +740,6 @@ class ParallelRunner:
             t0=t0,
             seed=seed,
             max_makespan=max_makespan,
-            collect_memo_delta=self.jobs > 1,
         )
         # The lockstep, adaptive and period units all read one trace set:
         # a sweep group's (its owner built and published it), or this
@@ -816,16 +796,11 @@ class ParallelRunner:
         platform = scenario.platform
         work_time = scenario.work_time
         totals = dict.fromkeys(_UNIT_COUNTERS, 0)
-        # the union of delta keys is the deduplicated miss count
-        merged_keys: set = set()
 
         def _absorb(stats: _UnitStats) -> None:
             for name, delta in stats.counters.items():
                 totals[name] += delta
             self._sched_seconds.append(stats.unit_seconds)
-            if stats.memo_delta:
-                _shm.merge_memo_delta(stats.memo_delta)
-                merged_keys.update(key for key, _value in stats.memo_delta)
 
         # Every unit of the scenario is built up front and dispatched
         # together; costs are estimated lane-attempts.
@@ -948,11 +923,6 @@ class ParallelRunner:
             best_period=best_period,
             infeasible=infeasible,
             n_jobs=self.jobs,
-            memo_unique_misses=(
-                len(merged_keys)
-                if scenario.collect_memo_delta
-                else totals["memo_misses"]
-            ),
             scheduler=self._scheduler_stats(),
             **totals,
         )

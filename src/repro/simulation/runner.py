@@ -71,19 +71,15 @@ class ScenarioResult:
     memo_hits / memo_misses:
         DPNextFailure replan-memo lookups observed during the run,
         aggregated over all workers; both zero when no adaptive policy
-        ran.  The sums
-        are *per-worker* counters: a signature solved independently by
-        N workers contributes N misses.
-    memo_unique_misses:
-        The deduplicated miss count — how many *distinct* replan
-        signatures were actually solved during the run (the union of
-        the workers' memo deltas; equal to ``memo_misses`` on serial
-        runs, where every miss is already unique).  The gap between
-        ``memo_misses`` and this number is pure double-counting.
+        ran.  Serial misses are already unique.  Each worker has its own
+        memo, so in a parallel run a signature looked up by N workers
+        is up to N misses.
     disk_hits / disk_misses / disk_evictions:
         Persistent solve-tier activity (:mod:`repro.core.diskcache`)
         during the run, aggregated over all workers; all zero when the
         tier is disabled (:func:`repro.core.diskcache.configure_disk_cache`).
+        The tier is how processes share solves, so in a parallel run
+        ``disk_misses`` counts the solves no process had persisted yet.
     trace_gen_reused:
         True when the run consumed a sweep group's shared trace set and
         its compiled ensemble (:mod:`repro.simulation.sweep`) instead of
@@ -107,7 +103,6 @@ class ScenarioResult:
     cache_misses: int = 0
     memo_hits: int = 0
     memo_misses: int = 0
-    memo_unique_misses: int = 0
     disk_hits: int = 0
     disk_misses: int = 0
     disk_evictions: int = 0
@@ -125,7 +120,6 @@ COUNTER_FIELDS = (
     "cache_misses",
     "memo_hits",
     "memo_misses",
-    "memo_unique_misses",
     "disk_hits",
     "disk_misses",
     "disk_evictions",
@@ -137,11 +131,7 @@ def aggregate_counters(results) -> dict:
 
     Multi-scenario commands (``repro sweep``, ``repro benchmark``)
     previously reported cache/memo/disk counters only per scenario;
-    this sums them into one summary block for the CLI envelope.  Note
-    ``memo_unique_misses`` is deduplicated *within* each scenario, so
-    the sum counts a signature once per scenario that solved it — a
-    signature served from the parent memo in a later scenario is a hit
-    there, not another unique miss.
+    this sums them into one summary block for the CLI envelope.
     """
     results = list(results)
     totals: dict = {

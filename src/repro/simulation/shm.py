@@ -27,31 +27,9 @@ Failure anywhere — segment creation (size limits, permissions), attach,
 reconstruction — must never break a run: callers fall back to per-task
 regeneration, which is bit-identical by the determinism anchor
 (trace ``i`` is a pure function of ``(platform, horizon, seed, i)``).
-Shared memory changes IPC volume only, never results.
-
-Cross-process memo sharing
---------------------------
-The second IPC concern of a ``--jobs N`` run is the DPNextFailure
-replan memo (:mod:`repro.core.cache`): workers inherit the parent's
-memo at fork time but then populate *private* copies — N workers solve
-N copies of every replan signature the parent has never seen.  The
-memo-delta helpers here close that loop at work-unit exit:
-
-1. a worker snapshots its memo keys before running a unit
-   (:func:`memo_snapshot`), and ships the entries it *added* back with
-   the unit result (:func:`export_memo_delta` — replan results are a
-   chunk array plus scalars, so deltas are cheap to pickle);
-2. the parent folds every delta into its own memo
-   (:func:`merge_memo_delta`), so the pools of later phases fork
-   already warm, and in-process callers (the daemon, subsequent
-   scenarios) hit immediately.
-
-Within a single phase, workers additionally share solves through the
-persistent disk tier (:mod:`repro.core.diskcache`): the first worker
-to solve a signature persists it and every other worker's memo miss
-becomes a disk hit.  Both channels move bit-identical result objects
-around — the memo key captures the full solve input — so sharing never
-changes results, only who computes them.
+Shared memory changes IPC volume only, never results.  DP solves never
+travel through it: processes share those only through the persistent
+disk tier (:mod:`repro.core.diskcache`).
 """
 
 from __future__ import annotations
@@ -72,9 +50,6 @@ __all__ = [
     "AttachedScenario",
     "publish_scenario",
     "attach_scenario",
-    "memo_snapshot",
-    "export_memo_delta",
-    "merge_memo_delta",
 ]
 
 
@@ -281,35 +256,3 @@ def attach_scenario(layout: ScenarioLayout) -> AttachedScenario:
     """Attach to a published scenario (worker side)."""
     return AttachedScenario(layout)
 
-
-# ----------------------------------------------------------------------
-# cross-process replan-memo sharing (delta merge at work-unit exit)
-# ----------------------------------------------------------------------
-
-
-def memo_snapshot() -> frozenset:
-    """The worker's current replan-memo key set (taken before a work
-    unit runs, so the delta afterwards is exactly what the unit added)."""
-    from repro.core.cache import get_replan_memo
-
-    return get_replan_memo().snapshot_keys()
-
-
-def export_memo_delta(before: frozenset) -> list:
-    """The ``(key, DPNextFailureResult)`` pairs this process's memo
-    gained since ``before`` — the worker's contribution to the shared
-    memo, shipped back with its work-unit result."""
-    from repro.core.cache import get_replan_memo
-
-    return get_replan_memo().export_entries(exclude=before)
-
-
-def merge_memo_delta(delta: list) -> int:
-    """Fold a worker's memo delta into this process's memo (parent
-    side); returns how many entries were new.  Merged entries carry the
-    bit-identical result a local solve would have produced (the memo
-    key captures the full solve input), so merging never changes
-    results — later phases and scenarios just start warm."""
-    from repro.core.cache import get_replan_memo
-
-    return get_replan_memo().merge_entries(delta)

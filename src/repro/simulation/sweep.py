@@ -122,8 +122,8 @@ def plan_sweep(specs: Sequence) -> SweepPlan:
     """Group grid points by :func:`trace_signature`.
 
     Groups appear in first-seen order and each group's indices stay in
-    submission order, so execution order — and therefore any
-    order-dependent observable like parent-memo warmth — is a
+    submission order, so execution order — and with it which point of a
+    serial sweep solves a DP and which reads it back from a cache — is a
     deterministic function of the point list alone.
     """
     specs = list(specs)

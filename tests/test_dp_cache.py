@@ -12,7 +12,6 @@ from repro.core.cache import (
     cached_dp_makespan,
     cached_dp_next_failure_parallel,
     clear_cache,
-    configure_cache,
     get_cache,
 )
 from repro.core.dp_makespan import dp_makespan
@@ -226,13 +225,3 @@ class TestEscapeHatch:
     def test_maxsize_validation(self):
         with pytest.raises(ValueError):
             DPTableCache(maxsize=0)
-        with pytest.raises(ValueError):
-            configure_cache(maxsize=0)
-
-    def test_configure_maxsize(self):
-        original = get_cache().maxsize
-        try:
-            configure_cache(maxsize=7)
-            assert get_cache().maxsize == 7
-        finally:
-            configure_cache(maxsize=original)

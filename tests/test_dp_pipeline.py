@@ -16,7 +16,6 @@ import pytest
 from repro.core.cache import (
     cached_replan,
     clear_replan_memo,
-    configure_replan_memo,
     get_replan_memo,
     quantize_ages,
     replan_memo_stats,
@@ -250,13 +249,6 @@ class TestReplanMemo:
         cached_replan(*base[:7], False, solve)
         stats = replan_memo_stats()
         assert stats.hits == 0 and stats.misses == 5
-
-    def test_configure_maxsize_validation(self):
-        with pytest.raises(ValueError):
-            configure_replan_memo(maxsize=0)
-        configure_replan_memo(maxsize=8)
-        assert get_replan_memo().maxsize == 8
-        configure_replan_memo(maxsize=4096)
 
 
 class TestPolicyMemoEquivalence:
