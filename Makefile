@@ -36,8 +36,11 @@ bench-smoke:
 	REPRO_BENCH_PPOINTS=2 REPRO_BENCH_JOBS=2 \
 		$(PYTHON) -m pytest benchmarks/bench_fig2_peta_exp.py --benchmark-only -q
 
-# End-to-end golden gate: one table4_cold pass of perfbench (~30 s),
-# which solves every replan and writes the disk tier, one table4_warm
+# End-to-end golden gate: one table4_cold pass of perfbench, traced
+# (--trace 1 runs the untraced pass too, then a pass with every
+# perfbench/spans.py target wrapped, so a target that stops resolving or
+# a wrapped call that changes shape fails here), which solves every
+# replan and writes the disk tier, one table4_warm
 # pass, which replays the goldens through disk-tier loads (the replan
 # codec's read side), and one sweep_static_par pass, which checks the
 # two-worker pool path (lockstep static replay, shared-memory rows, the
@@ -54,7 +57,8 @@ perfbench-check:
 		echo "perfbench-check: fewer than 2 CPUs -- skipping sweep_static_par"; \
 	fi; \
 	for workload in $$workloads; do \
-		$(PYTHON) perfbench/run.py --workload $$workload --seconds 1 --trace 0 \
+		trace=0; [ "$$workload" = table4_cold ] && trace=1; \
+		$(PYTHON) perfbench/run.py --workload $$workload --seconds 1 --trace $$trace \
 			| $(PYTHON) -c 'import json, sys; lines = sys.stdin.read().splitlines(); print(*lines, sep="\n"); doc = json.loads(lines[-1]) if lines else {}; sys.exit(0 if doc.get("correct") is True and doc.get("failed") == 0 else "perfbench-check: goldens not matched")' \
 			|| exit 1; \
 	done

@@ -36,17 +36,17 @@ keyed wrappers consult the persistent disk tier
 (:mod:`repro.core.diskcache` — content-addressed files under
 ``.repro-service/solvecache/``, shared across processes, runs and
 hosts) before solving cold, and publish fresh solves back to it.  A
-disk hit is bit-identical to a cold solve (NumPy's binary format
-round-trips the tables exactly), so the tier never changes results —
+disk hit is bit-identical to a cold solve (entries hold the arrays' raw
+bytes), so the tier never changes results —
 only who pays the solve.  ``configure_disk_cache(enabled=False)`` (the
 ``--no-disk-cache`` switch) bypasses it entirely.
 
 Replan memo
 -----------
 A second process-wide store, the **replan memo**, sits one level above
-the table cache: it memoizes whole
-:meth:`repro.policies.dp.DPNextFailurePolicy._replan` solves across
-traces and sweeps (runner workers share them through the disk tier).
+the table cache: it memoizes whole DPNextFailure replans
+(:class:`repro.policies.dp.ReplanRequest`) across traces and sweeps
+(runner workers share them through the disk tier).
 Its key is the *quantized* platform-state signature ``(distribution,
 horizon, C, u, nexact, napprox, compress, quantized ages)`` — see
 :func:`quantize_ages`.  The policy snaps processor ages onto the DP's
@@ -57,6 +57,16 @@ initial plan shares one entry, truncated replans share the same horizon
 and quantum, and post-failure states (one age at zero, survivors on the
 lattice) collide across traces.  Counters are surfaced as
 ``ScenarioResult.memo_hits`` / ``memo_misses``.
+
+A replan takes one of two paths through the same levels — replan memo,
+disk tier, compressed-state table cache, cold solve.
+:func:`cached_replan` resolves one replan at a time (the scalar engine,
+:func:`repro.simulation.engine.simulate_job`).  :func:`cached_replans`
+resolves the replans of one lockstep step of the runner's lanes
+together: each distinct key is looked up once, and the cold solves of
+one lattice shape run as one stacked kernel call
+(:func:`repro.core.dp_nextfailure.dp_next_failure_many`).  Both return
+bit-identical results and, unless a memo evicts, the same counters.
 """
 
 from __future__ import annotations
@@ -80,6 +90,7 @@ __all__ = [
     "replan_memo_stats",
     "quantize_ages",
     "cached_replan",
+    "cached_replans",
 ]
 
 
@@ -116,21 +127,60 @@ class DPTableCache:
         self.hits = 0
         self.misses = 0
 
-    def get_or_compute(self, key, compute):
-        """Return the cached value for ``key``, computing it on a miss."""
+    def get(self, key):
+        """The cached value for ``key`` (counted as a hit), or None."""
         with self._lock:
-            if key in self._data:
-                self.hits += 1
-                self._data.move_to_end(key)
-                return self._data[key]
-        value = compute()
+            if key not in self._data:
+                return None
+            self.hits += 1
+            self._data.move_to_end(key)
+            return self._data[key]
+
+    def put(self, key, value) -> None:
+        """Store the value computed after a miss (counted as a miss)."""
         with self._lock:
             self.misses += 1
             self._data[key] = value
             self._data.move_to_end(key)
             while len(self._data) > self.maxsize:
                 self._data.popitem(last=False)
+
+    def get_or_compute(self, key, compute):
+        """Return the cached value for ``key``, computing it on a miss."""
+        value = self.get(key)
+        if value is None:
+            value = compute()
+            self.put(key, value)
         return value
+
+    def get_or_compute_many(self, keys: list, compute_many) -> list:
+        """:meth:`get_or_compute` for every key of ``keys``, in order,
+        with the misses computed by one ``compute_many(positions)``
+        call, which returns the values of the keys at those positions.
+
+        A missed key repeated in ``keys`` is computed once and its
+        repeats count as hits, as they would in one call after another;
+        so do the counters, whenever the LRU does not evict a value
+        before its repeats read it.
+        """
+        values = [None] * len(keys)
+        first: dict = {}  # missed key -> its first position
+        repeats: list[int] = []
+        for pos, key in enumerate(keys):
+            if key in first:
+                repeats.append(pos)
+                continue
+            values[pos] = self.get(key)
+            if values[pos] is None:
+                first[key] = pos
+        missed = list(first.values())
+        for pos, value in zip(missed, compute_many(missed)):
+            self.put(keys[pos], value)
+            values[pos] = value
+        for pos in repeats:
+            hit = self.get(keys[pos])
+            values[pos] = hit if hit is not None else values[first[keys[pos]]]
+        return values
 
     def clear(self) -> None:
         """Drop every stored table and reset the counters."""
@@ -234,7 +284,15 @@ def cached_dp_next_failure_parallel(
     """
     from repro.core.dp_nextfailure import dp_next_failure_parallel
 
-    key = (
+    return _CACHE.get_or_compute(
+        _table_key(work, checkpoint, state, u),
+        lambda: dp_next_failure_parallel(work, checkpoint, state, u),
+    )
+
+
+def _table_key(work: float, checkpoint: float, state, u: float) -> tuple:
+    """Table-cache key of a DPNextFailure solve on ``state``."""
+    return (
         "dp_next_failure",
         state.dist.cache_key(),
         float(work),
@@ -242,9 +300,6 @@ def cached_dp_next_failure_parallel(
         float(u),
         state.taus.tobytes(),
         state.weights.tobytes(),
-    )
-    return _CACHE.get_or_compute(
-        key, lambda: dp_next_failure_parallel(work, checkpoint, state, u)
     )
 
 
@@ -321,7 +376,31 @@ def cached_replan(
     """
     from repro.core import diskcache
 
-    key = (
+    key = _replan_key(work, checkpoint, dist, ages, u, nexact, napprox, compress)
+
+    def compute():
+        stored = diskcache.load_replan(key)
+        if stored is not None:
+            return stored
+        result = solve()
+        diskcache.store_replan(key, result)
+        return result
+
+    return _REPLAN_MEMO.get_or_compute(key, compute)
+
+
+def _replan_key(
+    work: float,
+    checkpoint: float,
+    dist,
+    ages: np.ndarray,
+    u: float,
+    nexact: int,
+    napprox: int,
+    compress: bool,
+) -> tuple:
+    """Replan-memo (and disk-tier) key of a replan signature."""
+    return (
         "replan",
         dist.cache_key(),
         float(work),
@@ -333,12 +412,54 @@ def cached_replan(
         ages.tobytes(),
     )
 
-    def compute():
-        stored = diskcache.load_replan(key)
-        if stored is not None:
-            return stored
-        result = solve()
-        diskcache.store_replan(key, result)
-        return result
 
-    return _REPLAN_MEMO.get_or_compute(key, compute)
+def cached_replans(requests: list) -> list:
+    """:func:`cached_replan` of every request of a lockstep step, in
+    order: the step's replans share every cache level, and the cold
+    solves among them run stacked.
+
+    A request carries the arguments of :func:`cached_replan` as
+    attributes (``work``, ``checkpoint``, ``dist``, ``ages``, ``u``,
+    ``nexact``, ``napprox``, ``compress``) and builds the state to solve
+    on with ``state()`` (:class:`repro.policies.dp.ReplanRequest`).
+    The levels are those of the one-at-a-time path: the replan memo,
+    then the disk tier, then the compressed-state table cache, then
+    :func:`repro.core.dp_nextfailure.dp_next_failure_many`, which
+    stacks the solves of one lattice shape.  Each solve is stored on
+    disk and in both memos under its own key.  A key repeated within
+    the step is looked up and solved once, and its repeats count as
+    memo hits, so the counters read as for :func:`cached_replan`
+    called request by request whenever the memos do not evict.
+    """
+    from repro.core import diskcache
+    from repro.core.dp_nextfailure import dp_next_failure_many
+
+    keys = [
+        _replan_key(
+            r.work, r.checkpoint, r.dist, r.ages, r.u, r.nexact, r.napprox,
+            r.compress,
+        )
+        for r in requests
+    ]
+
+    def load_or_solve(positions: list[int]) -> list:
+        plans = [diskcache.load_replan(keys[pos]) for pos in positions]
+        cold = [pos for pos, plan in zip(positions, plans) if plan is None]
+        problems = [
+            (requests[pos].work, requests[pos].checkpoint, requests[pos].state(),
+             requests[pos].u)
+            for pos in cold
+        ]
+        solved = _CACHE.get_or_compute_many(
+            [_table_key(*problem) for problem in problems],
+            lambda first: dp_next_failure_many([problems[i] for i in first]),
+        )
+        fresh = dict(zip(cold, solved))
+        for pos in cold:
+            diskcache.store_replan(keys[pos], fresh[pos])
+        return [
+            fresh[pos] if plan is None else plan
+            for pos, plan in zip(positions, plans)
+        ]
+
+    return _REPLAN_MEMO.get_or_compute_many(keys, load_or_solve)

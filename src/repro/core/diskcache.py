@@ -15,12 +15,21 @@ below them:
 Entries are **content-addressed**: the key is the exact tuple the L1
 caches already use — quantized state signature plus every distribution
 and grid parameter — canonically encoded and SHA-256 hashed, so any two
-processes that would solve the same DP share one file.  Payloads are
-single ``.npz`` documents (NumPy's binary format round-trips float64
-arrays bit-exactly) with a JSON metadata record embedded alongside the
-arrays; a disk-warm solve is therefore *bit-identical* to a cold solve,
-which the tests and ``make perfbench-check`` (a fresh process over a
-tier another process filled) gate.
+processes that would solve the same DP share one file.  An entry is
+one plain file, ``<digest>.solve``, read or written in one call:
+
+.. code-block:: text
+
+    b"RSC\x02"        magic
+    uint32 (LE)       header length
+    header            JSON: format, kind, digest and, per array, its
+                      name, dtype (e.g. "<f8") and shape
+    payload           every array's raw bytes, C order, header order
+
+The arrays travel as their raw IEEE bytes, so a disk-warm solve is
+*bit-identical* to a cold solve, which the tests and ``make
+perfbench-check`` (a fresh process over a tier another process filled)
+gate.  Only fixed-size numeric dtypes are written or read.
 
 Durability discipline (the same R10 contract the result store obeys):
 
@@ -28,8 +37,9 @@ Durability discipline (the same R10 contract the result store obeys):
   reader never observes a torn entry and two processes racing on the
   same key both succeed (last replace wins; the contents are identical
   by construction);
-- any unreadable entry — truncated, garbage, wrong key — is treated as
-  a miss and removed best-effort; corruption can cost time, never
+- any unreadable entry — a wrong magic, kind or digest, an unknown
+  dtype, a payload shorter or longer than its header says — is treated
+  as a miss and removed best-effort; corruption can cost time, never
   correctness;
 - the store directory is salted with
   :func:`repro.service.store.store_version` (a source hash of every
@@ -67,7 +77,6 @@ import atexit
 import contextlib
 import hashlib
 import heapq
-import io
 import json
 import os
 import shutil
@@ -87,6 +96,8 @@ __all__ = [
     "reset_disk_cache_stats",
     "wipe_disk_cache",
     "key_digest",
+    "encode_entry",
+    "decode_entry",
     "load_dp_makespan",
     "store_dp_makespan",
     "load_replan",
@@ -97,7 +108,18 @@ _SOLVE_TIER_NAME = "solvecache"
 
 #: On-disk entry layout; bump to retire entries on an incompatible
 #: payload change the source hash cannot see.
-_ENTRY_FORMAT = 1
+_ENTRY_FORMAT = 2
+
+#: File name suffix of an entry, and the first bytes of its contents.
+_ENTRY_SUFFIX = ".solve"
+_MAGIC = b"RSC\x02"
+
+#: Header length prefix: one little-endian uint32.
+_LENGTH_BYTES = 4
+
+#: Array dtype kinds an entry may hold: bool, signed and unsigned
+#: integers, floats and complex numbers (fixed size, no objects).
+_NUMERIC_KINDS = "biufc"
 
 #: Default LRU byte budget for the whole tier (all kinds together).
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
@@ -184,9 +206,76 @@ class DiskCacheStats:
 def _entry_files(root: Path):
     """Every entry file under ``root``, skipping the ``.tmp-*`` files of
     writes still in flight."""
-    for path in root.rglob("*.npz"):
+    for path in root.rglob(f"*{_ENTRY_SUFFIX}"):
         if not path.name.startswith(".tmp-"):
             yield path
+
+
+def _numeric_dtype(name: str) -> np.dtype:
+    """The fixed-size numeric dtype ``name`` denotes; ValueError for any
+    other (objects, strings, records, void)."""
+    dtype = np.dtype(name)
+    if dtype.kind not in _NUMERIC_KINDS or dtype.itemsize == 0:
+        raise ValueError(f"not a fixed-size numeric dtype: {name!r}")
+    return dtype
+
+
+def encode_entry(kind: str, digest: str, arrays: dict[str, np.ndarray]) -> bytes:
+    """One entry's bytes: magic, length-prefixed JSON header, then every
+    array's raw bytes.  ValueError for an array that is not fixed-size
+    numeric."""
+    specs = []
+    payload = []
+    for name, value in arrays.items():
+        array = np.asarray(value)
+        specs.append([name, _numeric_dtype(array.dtype.str).str, list(array.shape)])
+        payload.append(array.tobytes(order="C"))
+    header = json.dumps(
+        {"format": _ENTRY_FORMAT, "kind": kind, "digest": digest, "arrays": specs}
+    ).encode()
+    return b"".join(
+        [_MAGIC, len(header).to_bytes(_LENGTH_BYTES, "little"), header, *payload]
+    )
+
+
+def decode_entry(raw: bytes, kind: str, digest: str) -> dict[str, np.ndarray]:
+    """The arrays of an entry encoded by :func:`encode_entry` for
+    ``(kind, digest)``.  ValueError (or another exception of the JSON
+    and NumPy parsers) for anything else: a wrong magic, format, kind or
+    digest, a dtype that is not fixed-size numeric, a negative shape, or
+    a payload shorter or longer than the header declares."""
+    start = len(_MAGIC) + _LENGTH_BYTES
+    if len(raw) < start or raw[: len(_MAGIC)] != _MAGIC:
+        raise ValueError("not a solve-cache entry")
+    end = start + int.from_bytes(raw[len(_MAGIC) : start], "little")
+    if end > len(raw):
+        raise ValueError("truncated header")
+    header = json.loads(raw[start:end])
+    if (
+        header["format"] != _ENTRY_FORMAT
+        or header["kind"] != kind
+        or header["digest"] != digest
+    ):
+        raise ValueError("entry of another format or key")
+    buffer = bytearray(raw[end:])  # writable arrays, like a cold solve's
+    arrays: dict[str, np.ndarray] = {}
+    offset = 0
+    for name, dtype_name, dims in header["arrays"]:
+        dtype = _numeric_dtype(dtype_name)
+        shape = tuple(int(n) for n in dims)
+        if any(n < 0 for n in shape):
+            raise ValueError(f"negative shape {shape}")
+        count = int(np.prod(shape, dtype=np.int64))
+        size = count * dtype.itemsize
+        if offset + size > len(buffer):
+            raise ValueError("truncated payload")
+        arrays[name] = np.frombuffer(
+            buffer, dtype=dtype, count=count, offset=offset
+        ).reshape(shape)
+        offset += size
+    if offset != len(buffer):
+        raise ValueError("payload longer than its header")
+    return arrays
 
 
 class _TierIndex:
@@ -327,7 +416,7 @@ class DiskSolveCache:
         return self.tier_root / store_version()
 
     def _entry_path(self, kind: str, digest: str) -> Path:
-        return self.root / kind / digest[:2] / f"{digest}.npz"
+        return self.root / kind / digest[:2] / f"{digest}{_ENTRY_SUFFIX}"
 
     # -- read ----------------------------------------------------------
 
@@ -335,8 +424,9 @@ class DiskSolveCache:
         """The stored arrays for ``(kind, key)``, or None on a miss.
 
         Counts a hit or a miss; any read failure — missing file,
-        truncation, garbage, key mismatch — is a miss, with the corrupt
-        file removed best-effort so it is rebuilt on the next store.
+        truncation, garbage, key mismatch (see :func:`decode_entry`) —
+        is a miss, with the corrupt file removed best-effort so it is
+        rebuilt on the next store.
         """
         if not self.enabled:
             return None
@@ -344,19 +434,7 @@ class DiskSolveCache:
         path = self._entry_path(kind, digest)
         arrays: dict[str, np.ndarray] | None = None
         try:
-            raw = path.read_bytes()
-            with np.load(io.BytesIO(raw), allow_pickle=False) as npz:
-                meta = json.loads(bytes(npz["__meta__"].tobytes()).decode())
-                if (
-                    meta.get("format") == _ENTRY_FORMAT
-                    and meta.get("kind") == kind
-                    and meta.get("digest") == digest
-                ):
-                    arrays = {
-                        name: np.array(npz[name])
-                        for name in npz.files
-                        if name != "__meta__"
-                    }
+            arrays = decode_entry(path.read_bytes(), kind, digest)
         except FileNotFoundError:
             arrays = None
         except Exception:
@@ -392,20 +470,13 @@ class DiskSolveCache:
         if not self.enabled:
             return False
         digest = key_digest(kind, key)
-        meta = {"format": _ENTRY_FORMAT, "kind": kind, "digest": digest}
         path = self._entry_path(kind, digest)
-        tmp = path.parent / f".tmp-{os.getpid()}-{digest}.npz"
+        tmp = path.parent / f".tmp-{os.getpid()}-{digest}{_ENTRY_SUFFIX}"
         try:
+            raw = encode_entry(kind, digest, arrays)
             self._prune_stale_versions()
             path.parent.mkdir(parents=True, exist_ok=True)
-            with open(tmp, "wb") as fh:
-                np.savez(
-                    fh,
-                    __meta__=np.frombuffer(
-                        json.dumps(meta).encode(), dtype=np.uint8
-                    ),
-                    **arrays,
-                )
+            tmp.write_bytes(raw)
             os.replace(tmp, path)
             stat = path.stat()
         except (OSError, ValueError):
@@ -576,7 +647,7 @@ class DiskSolveCache:
         root = self.tier_root
         if not root.is_dir():
             return 0
-        for path in root.rglob("*.npz"):
+        for path in _entry_files(root):
             with contextlib.suppress(OSError):
                 path.unlink()
                 removed += 1
@@ -636,7 +707,7 @@ def wipe_disk_cache() -> int:
 # ----------------------------------------------------------------------
 #
 # Payloads are {name: ndarray} documents; scalars travel as 0-d float64
-# arrays so the round trip is bit-exact by NumPy's binary format, not by
+# arrays so the round trip is bit-exact by their raw bytes, not by
 # decimal text.
 
 

@@ -16,14 +16,20 @@ The same DP solves the sequential case (one age ``tau``) and the parallel
 case (full platform state), because both reduce to a single collapsed
 log-survival advance table (:class:`repro.core.state.SurvivalTable`).
 
-A result is only the schedule and its value: the DP's choice table is a
-local of :func:`_solve`, dropped once the schedule is rebuilt, so a
-memoized or persisted replan costs its chunk array and two floats.
+The DP kernel, :func:`_solve_stacked`, solves several lattices of one
+shape in one pass with a leading lane axis; :func:`_solve` is its
+one-lane call and :func:`dp_next_failure_many` groups a batch of
+problems by shape (the lockstep replans of
+:func:`repro.core.cache.cached_replans`).  A result is only the
+schedule and its value: the DP's choice table is a local of the kernel,
+dropped once the schedule is rebuilt, so a memoized or persisted replan
+costs its chunk array and two floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -34,6 +40,7 @@ __all__ = [
     "DPNextFailureResult",
     "dp_next_failure",
     "dp_next_failure_parallel",
+    "dp_next_failure_many",
     "expected_work_of_schedule",
 ]
 
@@ -63,54 +70,88 @@ class DPNextFailureResult:
         return float(self.chunks[0]) if self.chunks.size else 0.0
 
 
-def _solve(
-    table: SurvivalTable, x0: int, u: float, n_cap: int
-) -> DPNextFailureResult:
-    """Bottom-up DP over states (x remaining quanta, n chunks done).
+#: Most lanes one stacked kernel call solves.  On a Table 4 replan
+#: (``x0 = 96``, ``n_cap = 97``; 2-vCPU host) a lane costs ~1.8 ms
+#: alone, ~1.1 ms among 8, ~1.2 ms among 16 and ~1.3 ms among 30.
+_STACK = 16
 
-    Vectorized over both the chunk choice ``i`` and the chunk count ``n``
-    for each remaining-work level ``x``; the survival lattice makes every
-    probability exact regardless of how ``C`` relates to ``u``.  Every
-    operand is a slice (a view) of the lattice or of the value table.
+
+def _solve_stacked(
+    tables: Sequence[SurvivalTable], x0: int, us: Sequence[float], n_cap: int
+) -> list[DPNextFailureResult]:
+    """Bottom-up DP over states (x remaining quanta, n chunks done), for
+    several lattices of one shape at once (lane ``k``: ``tables[k]`` and
+    quantum ``us[k]``).
+
+    Vectorized over the lanes, the chunk choice ``i`` and the chunk
+    count ``n`` for each remaining-work level ``x``; the survival
+    lattice makes every probability exact regardless of how ``C``
+    relates to ``u``.  The lane axis comes first and the lattices are
+    transposed, so every operand is a slice (a view) with contiguous
+    ``(n, a)`` rows.  Every element is the same expression as in a
+    one-lane call and the chunk choice is the first maximum, so a
+    lane's result does not depend on its neighbours.
 
     ``n_cap`` bounds the chunk-count dimension: states beyond it carry
     (essentially) zero survival probability, so their continuation value
     is taken as 0 — see :func:`_chunk_cap`.
     """
-    # value[x, n] = optimal E[W] (seconds of work) from state (x, n);
-    # only entries with n <= min(x0 - x, n_cap) are meaningful; the
-    # column n_cap stays 0 (negligible-survival cutoff).  choice[x, n]
-    # is the best chunk in quanta; it only serves the schedule rebuild.
-    value = np.zeros((x0 + 1, n_cap + 1))
-    choice = np.zeros((x0 + 1, n_cap + 1), dtype=np.int64)
-    m2 = table.m2
-    work = np.arange(1, x0 + 1) * u  # work[i - 1] = i quanta
+    # m2t[k, b, a] = tables[k].m2[a, b].  Value and choice are indexed
+    # by the work done, a = x0 - x, so the successor values of a level
+    # are the same forward slice as its lattice cells:
+    # value[k, n, a] = optimal E[W] (seconds of work) from state
+    # (x0 - a, n); only entries with n <= min(a, n_cap) are meaningful;
+    # the row n_cap stays 0 (negligible-survival cutoff).
+    # choice[k, n, a] is the best chunk in quanta; it only serves the
+    # schedule rebuild.
+    m2t = np.stack([table.m2.T for table in tables])
+    lanes = m2t.shape[0]
+    value = np.zeros((lanes, n_cap + 1, x0 + 1))
+    choice = np.zeros((lanes, n_cap + 1, x0 + 1), dtype=np.int64)
+    # work[k, i - 1] = i quanta of lane k
+    work = np.arange(1, x0 + 1)[None, :] * np.asarray(us, dtype=float)[:, None]
+    lane = np.arange(lanes)[:, None]
     for x in range(1, x0 + 1):
         a = x0 - x
         nn = min(a, n_cap - 1) + 1  # chunk counts n = 0..nn-1
-        # logp[n, i-1] = m2[a+i, n+1] - m2[a, n]
-        logp = m2[a + 1 : a + x + 1, 1 : nn + 1].T - m2[a, :nn][:, None]
-        succ = value[x - 1 :: -1, 1 : nn + 1].T  # value[x-i, n+1]
-        vals = np.exp(logp) * (work[:x] + succ)
-        best = np.argmax(vals, axis=1)
-        value[x, :nn] = vals[np.arange(nn), best]
-        choice[x, :nn] = best + 1
-    # Reconstruct the schedule along the all-success path from (x0, 0).
-    chunks = []
-    x, n = x0, 0
-    while x > 0:
-        if n >= n_cap or choice[x, n] <= 0:
-            # beyond the survival cutoff every choice is value-0; emit
-            # the rest as one chunk (it will never be reached anyway)
-            chunks.append(x * u)
-            break
-        i = int(choice[x, n])
-        chunks.append(i * u)
-        x -= i
-        n += 1
-    return DPNextFailureResult(
-        chunks=np.asarray(chunks), expected_work=float(value[x0, 0]), u=u
-    )
+        # vals[k, n, i-1] = exp(m2[a+i, n+1] - m2[a, n])
+        #                   * (i*u + value[a+i, n+1])
+        vals = m2t[:, 1 : nn + 1, a + 1 : a + x + 1] - m2t[:, :nn, a, None]
+        np.exp(vals, out=vals)
+        vals *= work[:, None, :x] + value[:, 1 : nn + 1, a + 1 : a + x + 1]
+        best = np.argmax(vals, axis=2)
+        value[:, :nn, a] = vals[lane, np.arange(nn), best]
+        choice[:, :nn, a] = best + 1
+    # Reconstruct each schedule along the all-success path from (x0, 0).
+    results = []
+    for row, u in enumerate(us):
+        chunks = []
+        x, n = x0, 0
+        while x > 0:
+            i = int(choice[row, n, x0 - x]) if n < n_cap else 0
+            if i <= 0:
+                # beyond the survival cutoff every choice is value-0; emit
+                # the rest as one chunk (it will never be reached anyway)
+                chunks.append(x * u)
+                break
+            chunks.append(i * u)
+            x -= i
+            n += 1
+        results.append(
+            DPNextFailureResult(
+                chunks=np.asarray(chunks),
+                expected_work=float(value[row, 0, 0]),
+                u=u,
+            )
+        )
+    return results
+
+
+def _solve(
+    table: SurvivalTable, x0: int, u: float, n_cap: int
+) -> DPNextFailureResult:
+    """The DP on one lattice: the one-lane call of :func:`_solve_stacked`."""
+    return _solve_stacked([table], x0, [u], n_cap)[0]
 
 
 def dp_next_failure(
@@ -183,12 +224,50 @@ def dp_next_failure_parallel(
     cost is independent of the number of processors thanks to the
     collapsed advance table.
     """
+    x0, n_cap = _lattice(work, checkpoint, state, u)
+    table = SurvivalTable.build(state, u, checkpoint, na=x0, nb=n_cap + 1)
+    return _solve(table, x0, u, n_cap)
+
+
+def _lattice(
+    work: float, checkpoint: float, state: PlatformState, u: float
+) -> tuple[int, int]:
+    """The DP's shape ``(x0, n_cap)``: work quanta and chunk-count cap."""
     if u <= 0:
         raise ValueError("quantum u must be positive")
     x0 = max(1, int(round(work / u)))
-    n_cap = _chunk_cap(state, checkpoint, x0)
-    table = SurvivalTable.build(state, u, checkpoint, na=x0, nb=n_cap + 1)
-    return _solve(table, x0, u, n_cap)
+    return x0, _chunk_cap(state, checkpoint, x0)
+
+
+def dp_next_failure_many(
+    problems: Sequence[tuple[float, float, PlatformState, float]],
+) -> list[DPNextFailureResult]:
+    """:func:`dp_next_failure_parallel` of every ``(work, checkpoint,
+    state, u)`` problem, each result bit-identical to its solve alone.
+
+    Problems of one lattice shape ``(x0, n_cap)`` solve together, up to
+    ``_STACK`` per :func:`_solve_stacked` call; shapes are never padded
+    to match.  A group's survival tables are built just before its call,
+    so at most ``_STACK`` tables are alive at once.
+    """
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, (work, checkpoint, state, u) in enumerate(problems):
+        groups.setdefault(_lattice(work, checkpoint, state, u), []).append(i)
+    results: list[DPNextFailureResult | None] = [None] * len(problems)
+    for (x0, n_cap), members in groups.items():
+        for lo in range(0, len(members), _STACK):
+            lanes = members[lo : lo + _STACK]
+            tables = [
+                SurvivalTable.build(
+                    problems[i][2], problems[i][3], problems[i][1],
+                    na=x0, nb=n_cap + 1,
+                )
+                for i in lanes
+            ]
+            us = [problems[i][3] for i in lanes]
+            for i, result in zip(lanes, _solve_stacked(tables, x0, us, n_cap)):
+                results[i] = result
+    return results
 
 
 def expected_work_of_schedule(

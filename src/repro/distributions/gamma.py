@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy import special
 
 from repro.distributions.base import FailureDistribution, FloatOrArray, SampleSize
 
@@ -31,6 +30,8 @@ class Gamma(FailureDistribution):
         return cls(k, mtbf / k)
 
     def sf(self, t):
+        from scipy import special
+
         t = np.asarray(t, dtype=float)
         return special.gammaincc(self.k, np.maximum(t, 0.0) / self.theta)
 
@@ -45,6 +46,8 @@ class Gamma(FailureDistribution):
             return np.log(sf)
 
     def pdf(self, t):
+        from scipy import special
+
         t = np.asarray(t, dtype=float)
         tpos = np.maximum(t, 1e-300)
         z = tpos / self.theta
@@ -65,6 +68,8 @@ class Gamma(FailureDistribution):
         return rng.gamma(self.k, self.theta, size=size)
 
     def quantile(self, q):
+        from scipy import special
+
         q = np.asarray(q, dtype=float)
         out = self.theta * special.gammaincinv(self.k, q)
         return float(out) if out.ndim == 0 else out

@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
 from repro.distributions.base import FailureDistribution, FloatOrArray, SampleSize
 
@@ -33,6 +32,8 @@ class LogNormal(FailureDistribution):
         return cls(math.log(mtbf) - sigma * sigma / 2.0, sigma)
 
     def sf(self, t):
+        from scipy import special
+
         t = np.asarray(t, dtype=float)
         tpos = np.maximum(t, 1e-300)
         z = (np.log(tpos) - self.mu) / (self.sigma * _SQRT2)
@@ -42,6 +43,8 @@ class LogNormal(FailureDistribution):
         return self.log_survival(np.asarray(t, dtype=float))
 
     def log_survival(self, t: np.ndarray) -> np.ndarray:
+        from scipy import special
+
         # Batched kernel (erfcx evaluated once over the whole grid);
         # logsf delegates here so both entry points share one formula.
         t = np.asarray(t, dtype=float)
@@ -67,6 +70,8 @@ class LogNormal(FailureDistribution):
         return rng.lognormal(self.mu, self.sigma, size=size)
 
     def quantile(self, q):
+        from scipy import special
+
         q = np.asarray(q, dtype=float)
         out = np.exp(self.mu + self.sigma * _SQRT2 * special.erfinv(2.0 * q - 1.0))
         return float(out) if out.ndim == 0 else out

@@ -87,6 +87,22 @@ class Policy(abc.ABC):
         """
         return None
 
+    def plan_request(self, remaining: float, ctx: "JobContext"):
+        """A solve the next :meth:`next_chunk` waits on, or None.
+
+        The engine asks before every :meth:`next_chunk`.  A request it
+        gets is answered — alone by ``request.resolve()``, or with the
+        requests of other lockstep lanes by ``request.resolve_all``
+        (:func:`repro.simulation.batch.simulate_policy_ensemble`) — and
+        the answer handed back through :meth:`adopt_plan`.  Policies
+        that never wait on a solve keep this default.
+        """
+        return None
+
+    def adopt_plan(self, request, plan) -> None:
+        """Take the answer to the request :meth:`plan_request` made."""
+        raise NotImplementedError(f"{type(self).__name__} makes no plan requests")
+
     @abc.abstractmethod
     def next_chunk(self, remaining: float, ctx: "JobContext") -> float:
         """Size (seconds of work) of the next chunk to attempt."""

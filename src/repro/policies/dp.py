@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,17 +25,72 @@ from repro.core.cache import (
     cached_dp_makespan,
     cached_dp_next_failure_parallel,
     cached_replan,
+    cached_replans,
     quantize_ages,
 )
 from repro.core.state import PlatformState
+from repro.distributions.base import FailureDistribution
 from repro.distributions.minimum import MinOfIID
 from repro.policies.base import Policy
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from repro.core.dp_nextfailure import DPNextFailureResult
     from repro.simulation.engine import JobContext
 
-__all__ = ["DPNextFailurePolicy", "DPMakespanPolicy"]
+__all__ = ["DPNextFailurePolicy", "DPMakespanPolicy", "ReplanRequest"]
+
+
+@dataclass(frozen=True, eq=False)
+class ReplanRequest:
+    """One DPNextFailure replan: the full input of its solve, with the
+    ages already snapped to the lattice (:func:`quantize_ages`).
+
+    The policy hands it to the engine (:meth:`Policy.plan_request`);
+    :meth:`resolve` answers it alone, :meth:`resolve_all` answers the
+    requests of a lockstep step together.  Both return the same results
+    through the same cache levels.
+    """
+
+    work: float
+    checkpoint: float
+    dist: FailureDistribution
+    ages: np.ndarray
+    u: float
+    nexact: int
+    napprox: int
+    compress: bool
+
+    def state(self) -> PlatformState:
+        """The platform state the DP solves on (compressed if asked)."""
+        state = PlatformState(self.ages, self.dist)
+        if self.compress:
+            state = state.compress(self.nexact, self.napprox)
+        return state
+
+    def resolve(self) -> "DPNextFailureResult":
+        """This replan alone: the replan memo and disk tier
+        (:func:`cached_replan`), then the compressed-state table cache
+        (:func:`cached_dp_next_failure_parallel`)."""
+        return cached_replan(
+            self.work,
+            self.checkpoint,
+            self.dist,
+            self.ages,
+            self.u,
+            self.nexact,
+            self.napprox,
+            self.compress,
+            lambda: cached_dp_next_failure_parallel(
+                self.work, self.checkpoint, self.state(), self.u
+            ),
+        )
+
+    @staticmethod
+    def resolve_all(requests: list) -> list:
+        """Every request of a lockstep step, solves stacked
+        (:func:`cached_replans`)."""
+        return cached_replans(requests)
 
 
 class DPNextFailurePolicy(Policy):
@@ -89,6 +145,8 @@ class DPNextFailurePolicy(Policy):
         self.compress = compress
         self.memo_quant = memo_quant
         self._queue: deque[float] = deque()
+        # whether the pending replan plans a truncated horizon
+        self._truncated = False
 
     def setup(self, ctx: "JobContext") -> None:
         self._queue = deque()
@@ -104,15 +162,21 @@ class DPNextFailurePolicy(Policy):
         # The platform state changed: the current plan is stale.
         self._queue = deque()
 
-    def _replan(self, remaining: float, ctx: "JobContext") -> None:
+    def plan_request(
+        self, remaining: float, ctx: "JobContext"
+    ) -> ReplanRequest | None:
+        """The replan the next chunk waits on: None while the current
+        plan lasts."""
+        if self._queue:
+            return None
         mtbf = ctx.platform_mtbf
         horizon = remaining
-        truncated = False
+        self._truncated = False
         if math.isfinite(mtbf) and self.truncation > 0:
             cap = self.truncation * mtbf
             if cap < remaining:
                 horizon = cap
-                truncated = True
+                self._truncated = True
         u = max(horizon / self.n_grid, 1e-6)
         # Ages are snapped to the DP's quantum lattice before solving,
         # so a memo hit is trivially bit-identical to the cold solve it
@@ -120,16 +184,7 @@ class DPNextFailurePolicy(Policy):
         ages = quantize_ages(
             np.asarray(ctx.ages, dtype=float), self.memo_quant * u
         )
-
-        def solve():
-            state = PlatformState(ages, ctx.dist)
-            if self.compress:
-                state = state.compress(self.nexact, self.napprox)
-            return cached_dp_next_failure_parallel(
-                horizon, ctx.checkpoint, state, u
-            )
-
-        result = cached_replan(
+        return ReplanRequest(
             horizon,
             ctx.checkpoint,
             ctx.dist,
@@ -138,17 +193,25 @@ class DPNextFailurePolicy(Policy):
             self.nexact,
             self.napprox,
             self.compress,
-            solve,
         )
-        chunks = list(result.chunks)
-        if truncated and len(chunks) > 1:
+
+    def adopt_plan(
+        self, request: ReplanRequest, plan: "DPNextFailureResult"
+    ) -> None:
+        """Queue the chunks of ``plan`` (the first ``use_fraction`` of
+        them when the horizon was truncated)."""
+        chunks = list(plan.chunks)
+        if self._truncated and len(chunks) > 1:
             keep = max(1, int(math.ceil(len(chunks) * self.use_fraction)))
             chunks = chunks[:keep]
         self._queue = deque(chunks)
 
     def next_chunk(self, remaining: float, ctx: "JobContext") -> float:
-        if not self._queue:
-            self._replan(remaining, ctx)
+        # The engine adopts a plan before asking; any other caller gets
+        # its replan resolved here.
+        request = self.plan_request(remaining, ctx)
+        if request is not None:
+            self.adopt_plan(request, request.resolve())
         w = self._queue.popleft()
         return min(w, remaining)
 

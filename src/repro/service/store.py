@@ -13,7 +13,7 @@ CI runs and hosts.  The layout:
           <sig[:2]>/<sig>.json  one entry per scenario signature
       solvecache/               sibling tier: persistent DP/replan
         <code-hash>/            solves (:mod:`repro.core.diskcache`),
-          <kind>/<d[:2]>/<d>.npz  salted by the same store_version()
+          <kind>/<d[:2]>/<d>.solve  salted by the same store_version()
 
 Each entry is a single JSON document carrying the spec (for
 inspection), the serialized result, and a **hit counter** that the

@@ -45,14 +45,17 @@ of periods (the PeriodLB search; makespans only) and
 :func:`simulate_lower_bound_batch` replays the omniscient LowerBound the
 same way (one *window* per lockstep step), and
 :func:`simulate_policy_ensemble` is the one-policy dispatch: batch when
-the policy declares a static schedule, scalar fallback otherwise.
+the policy declares a static schedule, otherwise one lane per trace of
+the scalar engine loop, advanced in lockstep from one plan request to
+the next so that DPNextFailure's replans resolve together.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Generator, Sequence
 
 import numpy as np
 
@@ -62,7 +65,7 @@ from repro.simulation.engine import (
     _WORK_EPS,
     _Engine,
     JobContext,
-    simulate_job,
+    job_steps,
 )
 from repro.simulation.results import SimulationResult
 from repro.traces.generation import JobTraces
@@ -538,12 +541,13 @@ def simulate_job_batch(
     """
     if not traces:
         return []
+    first = traces[0]
     ctx = _probe_context(
         work_time,
         checkpoint,
         recovery,
-        traces[0].downtime,
-        traces[0].n_units,
+        first.downtime,
+        first.n_units,
         dist,
         t0,
         platform_mtbf,
@@ -584,6 +588,7 @@ def simulate_static_policies(
     out: list[list[SimulationResult | None] | None] = [None] * len(policies)
     if not traces:
         return [[] for _ in policies]
+    first = traces[0]
     schedules: list[StaticSchedule] = []
     owners: list[int] = []
     for i, policy in enumerate(policies):
@@ -591,8 +596,8 @@ def simulate_static_policies(
             work_time,
             checkpoint,
             recovery,
-            traces[0].downtime,
-            traces[0].n_units,
+            first.downtime,
+            first.n_units,
             dist,
             t0,
             platform_mtbf,
@@ -738,7 +743,8 @@ def simulate_policy_ensemble(
     The runner-facing dispatcher: one result per trace, with None
     marking (policy, trace) pairs on which the policy is infeasible —
     the same pairs the scalar engine reports.  Policies without a
-    static schedule replay through the scalar engine.
+    static schedule replay as lockstep lanes of the scalar engine loop
+    (:func:`_replay_adaptive_lanes`).
     """
     try:
         batched = simulate_job_batch(
@@ -759,22 +765,71 @@ def simulate_policy_ensemble(
         return [None] * len(traces)
     if batched is not None:
         return batched
-    results: list[SimulationResult | None] = []
-    for tr in traces:
+    return _replay_adaptive_lanes(
+        policy,
+        work_time,
+        traces,
+        checkpoint,
+        recovery,
+        dist,
+        t0=t0,
+        platform_mtbf=platform_mtbf,
+        max_makespan=max_makespan,
+    )
+
+
+def _replay_adaptive_lanes(
+    policy: Policy,
+    work_time: float,
+    traces: Sequence[JobTraces],
+    checkpoint: float,
+    recovery: float,
+    dist: FailureDistribution,
+    t0: float = 0.0,
+    platform_mtbf: float = math.nan,
+    max_makespan: float = math.inf,
+) -> list[SimulationResult | None]:
+    """``policy`` over every trace, one lane per trace, bit-identical to
+    :func:`simulate_job` per trace (None where the policy is infeasible).
+
+    Each lane is the scalar engine loop (:func:`job_steps`) on a copy
+    of the policy.  It runs until its policy waits on a plan, then
+    suspends.  One lockstep step answers every suspended lane's request
+    together (``resolve_all``: DPNextFailure's replans share the cache
+    lookups, and the cold solves of one lattice shape run stacked) and
+    resumes the lanes.  A policy that makes no requests replays each
+    lane to its end in one go.
+    """
+    results: list[SimulationResult | None] = [None] * len(traces)
+    suspended: list[tuple[int, Generator, object]] = []
+
+    def resume(lane: int, steps: Generator, plan) -> None:
         try:
-            results.append(
-                simulate_job(
-                    policy,
-                    work_time,
-                    tr,
-                    checkpoint,
-                    recovery,
-                    dist,
-                    t0=t0,
-                    platform_mtbf=platform_mtbf,
-                    max_makespan=max_makespan,
-                )
-            )
+            request = steps.send(plan)
+        except StopIteration as done:
+            results[lane] = done.value
         except PolicyInfeasibleError:
-            results.append(None)
+            pass  # the lane's result stays None
+        else:
+            suspended.append((lane, steps, request))
+
+    for lane, tr in enumerate(traces):
+        steps = job_steps(
+            copy.copy(policy),
+            work_time,
+            tr,
+            checkpoint,
+            recovery,
+            dist,
+            t0=t0,
+            platform_mtbf=platform_mtbf,
+            max_makespan=max_makespan,
+        )
+        resume(lane, steps, None)
+    while suspended:
+        step, suspended = suspended, []
+        requests = [request for _lane, _steps, request in step]
+        plans = requests[0].resolve_all(requests)
+        for (lane, steps, _request), plan in zip(step, plans):
+            resume(lane, steps, plan)
     return results

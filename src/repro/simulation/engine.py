@@ -14,13 +14,17 @@ The engine walks the merged, sorted platform failure stream and handles:
 Two entry points: :func:`simulate_job` runs a
 :class:`repro.policies.base.Policy`; :func:`simulate_lower_bound` runs
 the omniscient LowerBound that checkpoints exactly ``C`` before each
-failure.
+failure.  :func:`simulate_job`'s loop is the generator
+:func:`job_steps`, which suspends wherever the policy waits on a plan,
+so lockstep lanes (:mod:`repro.simulation.batch`) replay many traces
+through the same loop and resolve their replans together.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Any, Generator
 
 import numpy as np
 
@@ -28,7 +32,7 @@ from repro.distributions.base import FailureDistribution
 from repro.simulation.results import SimulationResult
 from repro.traces.generation import JobTraces
 
-__all__ = ["JobContext", "simulate_job", "simulate_lower_bound"]
+__all__ = ["JobContext", "job_steps", "simulate_job", "simulate_lower_bound"]
 
 _WORK_EPS = 1e-6  # seconds of work considered "done"
 
@@ -146,7 +150,49 @@ def simulate_job(
     The policy is consulted at every decision point (job start, after
     each checkpoint, after each recovery) for the next chunk size; a
     chunk costs ``chunk + checkpoint`` seconds and is lost if any unit
-    fails before the checkpoint completes.
+    fails before the checkpoint completes.  A plan the policy waits on
+    (:meth:`~repro.policies.base.Policy.plan_request`) is resolved on
+    the spot, one replan at a time.
+    """
+    steps = job_steps(
+        policy,
+        work_time,
+        traces,
+        checkpoint,
+        recovery,
+        dist,
+        t0=t0,
+        platform_mtbf=platform_mtbf,
+        max_makespan=max_makespan,
+    )
+    try:
+        request = next(steps)
+        while True:
+            request = steps.send(request.resolve())
+    except StopIteration as done:
+        return done.value
+
+
+def job_steps(
+    policy,
+    work_time: float,
+    traces: JobTraces,
+    checkpoint: float,
+    recovery: float,
+    dist: FailureDistribution,
+    t0: float = 0.0,
+    platform_mtbf: float = math.nan,
+    max_makespan: float = math.inf,
+) -> Generator[Any, Any, SimulationResult]:
+    """The loop of :func:`simulate_job`, suspended at every plan request.
+
+    A generator: it yields each request of
+    :meth:`~repro.policies.base.Policy.plan_request`, expects the
+    request's answer sent back, hands it to the policy's
+    :meth:`~repro.policies.base.Policy.adopt_plan`, and returns the
+    :class:`SimulationResult`.  :func:`simulate_job` answers each
+    request as it comes; lockstep lanes answer the requests of many
+    traces together (:func:`repro.simulation.batch.simulate_policy_ensemble`).
     """
     eng = _Engine(traces, recovery, t0)
     time_waiting = eng.t - t0
@@ -171,6 +217,9 @@ def simulate_job(
     chunk_min, chunk_max = math.inf, 0.0
     while remaining > _WORK_EPS:
         ctx.time = eng.t
+        request = policy.plan_request(remaining, ctx)
+        if request is not None:
+            policy.adopt_plan(request, (yield request))
         w = float(policy.next_chunk(remaining, ctx))
         if not (w > 0):
             raise ValueError(

@@ -11,9 +11,12 @@ dispatched together:
    every static-schedule policy of the scenario plus the omniscient
    LowerBound over its traces in one lockstep pass
    (:func:`repro.simulation.batch.simulate_static_policies`);
-2. **adaptive units** — finer batches of trace indices for the policies
-   without a static schedule (the DP policies), replayed per trace by
-   the scalar engine;
+2. **adaptive units** — batches of trace indices for the policies
+   without a static schedule (the DP policies), replayed as lockstep
+   lanes of the scalar engine loop: DPNextFailure's lanes suspend at
+   each replan, and one step resolves every suspended lane's replan
+   together, the cold solves stacked by lattice shape
+   (:func:`repro.simulation.batch.simulate_policy_ensemble`);
 3. **period units** — batches of PeriodLB candidate periods, each
    replayed in one lockstep pass over the search-subset traces.
 
@@ -66,11 +69,14 @@ for itself.
 Shared-memory trace publication: with ``jobs > 1`` the parent
 generates all traces and compiles the scenario ensemble once,
 publishes the arrays via :mod:`repro.simulation.shm`, and workers
-attach and copy out only the rows of their work unit instead of
-regenerating per task; with ``jobs = 1`` the same generated set stays
-in process and every unit takes its rows.  Any publish/attach failure
-falls back silently to regeneration — bit-identical by the determinism
-anchor above, shared memory only changes who computes the traces.
+attach and copy out only the ensemble rows of their work unit instead
+of regenerating per task, and a trace only when a replay reads it
+(adaptive lanes read all of theirs, the lockstep kernels only the
+first); with ``jobs = 1`` the same generated set stays in process and
+every unit takes its rows.  Any publish failure, or a failed attach at
+the start of a unit, falls back silently to regeneration —
+bit-identical by the determinism anchor above, shared memory only
+changes who computes the traces.
 
 Sweep-shared traces (:class:`SharedTraces`): the grid sweep engine
 (:mod:`repro.simulation.sweep`) generates a group's trace set once and
@@ -82,14 +88,15 @@ have generated itself, so sharing never changes results.
 
 Cost-model scheduling: work units are not all equal — a trace batch
 replaying a DP policy costs orders of magnitude more than a lockstep
-replay of every static schedule.  The runner estimates each unit's cost
-in lane-attempts (one attempt of one (schedule, trace) lane; a static
-schedule's attempts are ``work / min(period, work)``, Liu's its chunk
-count, a DP trace a calibrated constant), splits adaptive trace batches
-finer when they are expensive, keeps lockstep units to one per worker
-(their per-step Python overhead is paid once per unit) and dispatches
-units longest-first (LPT) so a straggler never lands last on an
-otherwise idle pool.  Results are stitched by trace index, so dispatch
+replay of every static schedule.  Trace units are one per worker (a
+serial run has one of each kind): a lockstep pass pays its per-step
+Python overhead once per unit, and the wider a DPNextFailure step, the
+more replans share its lookups and stacked solves.  The runner
+estimates each unit's cost in lane-attempts (one attempt of one
+(schedule, trace) lane; a static schedule's attempts are ``work /
+min(period, work)``, Liu's its chunk count, a DP trace a calibrated
+constant) and dispatches units longest-first (LPT) so a straggler never
+lands last on an otherwise idle pool.  Results are stitched by trace index, so dispatch
 order is invisible to results; the estimates and per-unit wall-clock
 land in ``ScenarioResult.scheduler``.
 """
@@ -118,7 +125,7 @@ from repro.simulation.batch import (
     simulate_policy_ensemble,
     simulate_static_policies,
 )
-from repro.traces.generation import generate_platform_traces
+from repro.traces.generation import JobTraces, generate_platform_traces
 
 __all__ = [
     "ParallelRunner",
@@ -176,7 +183,7 @@ class SharedTraces:
 #: Estimated cost of one trace replayed under a DP policy with the
 #: reference grid (n_grid=96), in lane-attempts (one attempt of one
 #: lockstep lane).  Order-of-magnitude calibration on Table 4: a
-#: DPNextFailure trace takes ~0.04 s (warm solve tier) to ~0.25 s
+#: DPNextFailure trace takes ~0.005 s (warm solve tier) to ~0.1 s
 #: (cold), a lane-attempt ~0.2 us.
 _DP_TRACE_WEIGHT = 1e6
 
@@ -311,14 +318,40 @@ class _Scenario:
     local: SharedTraces | None = None
 
 
+class _PublishedTraces:
+    """A unit's traces in the scenario's shared-memory publication, each
+    copied out only when read (one attach per read); it has a length
+    and iterates by index, like the list it stands in for.
+
+    The lockstep kernels read only the compiled ensemble rows, and the
+    unit count and downtime of the first trace, so the units of static
+    schedules and of PeriodLB candidates copy out one trace instead of
+    all of theirs; adaptive lanes, and the scalar-replay test oracle,
+    read every trace.
+    """
+
+    def __init__(self, layout, indices: list[int]):
+        self._layout = layout
+        self._indices = indices
+
+    def __len__(self) -> int:
+        return len(self._indices)
+
+    def __getitem__(self, position: int) -> JobTraces:
+        index = self._indices[position]
+        with _shm.attach_scenario(self._layout) as attached:
+            return attached.job_traces(index)
+
+
 def _task_traces(scenario: _Scenario, indices: list[int]):
-    """Materialize a work unit's traces + compiled ensemble.
+    """A work unit's traces + compiled ensemble.
 
     Preferred sources, in order: an in-process :class:`SharedTraces`
     (``local``, serial runs and sweep groups — never crosses a process
     boundary), then the scenario's shared-memory publication
-    (``layout``) — attach, copy the unit's rows, detach.  Fallback (no
-    layout, or any attach failure): regenerate from the determinism
+    (``layout``) — attach, copy the unit's ensemble rows, detach; the
+    traces come as a :class:`_PublishedTraces` view.  Fallback (no
+    layout, or an attach failure): regenerate from the determinism
     anchor and compile per batch.  All sources yield bit-identical
     traces, and a row subset of the global ensemble is
     replay-equivalent to a per-batch compilation (padding columns are
@@ -331,10 +364,8 @@ def _task_traces(scenario: _Scenario, indices: list[int]):
     if layout is not None:
         try:
             with _shm.attach_scenario(layout) as attached:
-                return (
-                    [attached.job_traces(i) for i in indices],
-                    attached.ensemble_rows(indices),
-                )
+                ensemble = attached.ensemble_rows(indices)
+            return _PublishedTraces(layout, indices), ensemble
         except Exception:
             # segment gone / platform quirk: drop the layout and
             # regenerate below (bit-identical by the determinism anchor)
@@ -652,30 +683,17 @@ class ParallelRunner:
             if owns:
                 pool.shutdown()
 
-    def _trace_batches(
-        self, indices: list[int], per_trace_cost: float = 0.0
-    ) -> list[list[int]]:
-        """Split trace indices into work units.
+    def _trace_batches(self, indices: list[int]) -> list[list[int]]:
+        """Split trace indices into one work unit per worker.
 
-        The granularity adapts to the estimated per-trace cost of an
-        adaptive unit (lane-attempts): a scalar-engine replay gets ~2
-        units per worker, expensive DP replays split finer (up to 16) —
-        imbalance there costs whole DP solves, and the extra dispatch
-        overhead is noise next to one unit's runtime.  Lockstep units
-        leave the cost at 0 and get one unit per worker: a lockstep
-        pass pays its per-step Python overhead once per unit, whatever
-        its lane count.  Batching never affects results (traces are
+        A unit replays its traces as lockstep lanes: static schedules
+        pay their per-step Python overhead once per unit whatever the
+        lane count, and DPNextFailure lanes share each step's replan
+        lookups and stacked solves, so fewer, larger units are cheaper
+        on every kind.  Batching never affects results (traces are
         stitched back by index).
         """
-        units_per_worker = int(
-            min(
-                16,
-                max(1, round(2.0 * math.sqrt(per_trace_cost / _SCALAR_TRACE_WEIGHT))),
-            )
-        )
-        size = max(
-            1, math.ceil(len(indices) / max(1, self.jobs * units_per_worker))
-        )
+        size = max(1, math.ceil(len(indices) / max(1, self.jobs)))
         return _chunk(indices, size)
 
     def _scheduler_stats(self) -> dict:
@@ -811,7 +829,7 @@ class ParallelRunner:
         adaptive = [p for p in policies if not _declares_schedule(p)]
         if adaptive:
             per_trace = sum(_policy_weight(p) for p in adaptive)
-            for batch in self._trace_batches(indices, per_trace):
+            for batch in self._trace_batches(indices):
                 calls.append(
                     (_run_trace_task, _TraceTask(scenario, batch, adaptive, False))
                 )

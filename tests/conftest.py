@@ -104,6 +104,12 @@ def bypass_solve_caches(mp):
 
     # cached_replan(work, C, dist, ages, u, nexact, napprox, compress, solve)
     mp.setattr(dp_policies, "cached_replan", lambda *args: args[-1]())
+    # lockstep lanes resolve their replans one by one, through the above
+    mp.setattr(
+        dp_policies,
+        "cached_replans",
+        lambda requests: [request.resolve() for request in requests],
+    )
     mp.setattr(
         dp_policies, "cached_dp_makespan", lambda **kw: dp_makespan(**kw)
     )

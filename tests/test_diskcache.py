@@ -17,6 +17,8 @@ from repro.core.cache import cached_dp_makespan, cached_replan, clear_cache
 from repro.core.diskcache import (
     DiskSolveCache,
     configure_disk_cache,
+    decode_entry,
+    encode_entry,
     get_disk_cache,
     key_digest,
     load_dp_makespan,
@@ -105,7 +107,7 @@ class TestCorruption:
     def test_garbage_entry_is_a_silent_miss(self, cache):
         cache.store("dp", KEY, _arrays())
         path = cache._entry_path("dp", key_digest("dp", KEY))
-        path.write_bytes(b"this is not an npz document")
+        path.write_bytes(b"this is not a solve-cache entry")
         assert cache.load("dp", KEY) is None
         assert not path.exists()
 
@@ -118,6 +120,130 @@ class TestCorruption:
         dst.parent.mkdir(parents=True, exist_ok=True)
         dst.write_bytes(src.read_bytes())
         assert cache.load("dp", other) is None
+
+
+def _header_entry(header_edit, payload: bytes = b"") -> tuple[bytes, str]:
+    """A hand-built ``dp`` entry for KEY whose header ``header_edit``
+    modified, and its digest."""
+    digest = key_digest("dp", KEY)
+    header = {
+        "format": diskcache._ENTRY_FORMAT,
+        "kind": "dp",
+        "digest": digest,
+        "arrays": [["x", "<f8", [1]]],
+    }
+    header_edit(header)
+    raw = json.dumps(header).encode()
+    return (
+        diskcache._MAGIC + len(raw).to_bytes(4, "little") + raw + payload,
+        digest,
+    )
+
+
+class TestRawCodec:
+    """The raw entry layout: magic, length-prefixed JSON header, array
+    bytes; anything else is a miss and its file is removed."""
+
+    def test_truncated_at_every_length_is_a_miss(self, cache):
+        cache.store("dp", KEY, _arrays())
+        path = cache._entry_path("dp", key_digest("dp", KEY))
+        raw = path.read_bytes()
+        for length in range(len(raw)):
+            path.write_bytes(raw[:length])
+            assert cache.load("dp", KEY) is None, length
+            assert not path.exists(), length
+        path.write_bytes(raw)
+        assert cache.load("dp", KEY) is not None
+
+    def test_trailing_bytes_are_a_miss(self, cache):
+        cache.store("dp", KEY, _arrays())
+        path = cache._entry_path("dp", key_digest("dp", KEY))
+        path.write_bytes(path.read_bytes() + b"\x00")
+        assert cache.load("dp", KEY) is None
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda h: h["arrays"][0].__setitem__(1, "|O"),
+            lambda h: h["arrays"][0].__setitem__(1, "<U4"),
+            lambda h: h["arrays"][0].__setitem__(1, "no-such-dtype"),
+            lambda h: h["arrays"][0].__setitem__(2, [-1]),
+            lambda h: h.__setitem__("kind", "replan"),
+            lambda h: h.__setitem__("digest", "0" * 64),
+            lambda h: h.__setitem__("format", 1),
+        ],
+        ids=["object", "unicode", "unknown", "negative-shape", "kind",
+             "digest", "format"],
+    )
+    def test_bad_header_is_a_miss(self, cache, edit):
+        raw, digest = _header_entry(edit, payload=b"\x00" * 8)
+        path = cache._entry_path("dp", digest)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(raw)
+        assert cache.load("dp", KEY) is None
+        assert not path.exists()
+
+    def test_hand_built_entry_decodes(self, cache):
+        """The fixture of the header tests is a valid entry unedited."""
+        raw, digest = _header_entry(lambda h: None, np.float64(2.5).tobytes())
+        path = cache._entry_path("dp", digest)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(raw)
+        loaded = cache.load("dp", KEY)
+        assert loaded is not None and loaded["x"].tolist() == [2.5]
+
+    def test_wrong_magic_is_a_miss(self, cache):
+        cache.store("dp", KEY, _arrays())
+        path = cache._entry_path("dp", key_digest("dp", KEY))
+        raw = path.read_bytes()
+        path.write_bytes(b"XXXX" + raw[4:])
+        assert cache.load("dp", KEY) is None
+        assert not path.exists()
+
+    def test_dtypes_and_shapes_round_trip(self):
+        arrays = {
+            "zero_d": np.float64(-0.0),
+            "ints": np.arange(-3, 4, dtype=np.int64),
+            "matrix": np.arange(12, dtype=float).reshape(3, 4) / 7.0,
+            "fortran": np.asfortranarray(np.arange(6.0).reshape(2, 3)),
+            "empty": np.zeros((0, 5)),
+        }
+        digest = key_digest("dp", KEY)
+        loaded = decode_entry(encode_entry("dp", digest, arrays), "dp", digest)
+        assert list(loaded) == list(arrays)
+        for name, value in arrays.items():
+            value = np.asarray(value)
+            assert loaded[name].dtype == value.dtype, name
+            assert loaded[name].shape == value.shape, name
+            assert loaded[name].tobytes() == value.tobytes(), name
+        assert np.signbit(loaded["zero_d"])
+        assert loaded["matrix"].flags.writeable
+
+    def test_non_numeric_array_is_not_stored(self, cache):
+        assert not cache.store("dp", KEY, {"x": np.array([object()])})
+        assert cache.load("dp", KEY) is None
+
+    def test_dp_makespan_entry_round_trips_bit_exactly(self):
+        from repro.core.dp_makespan import dp_makespan
+        from repro.core.diskcache import store_dp_makespan
+
+        result = dp_makespan(
+            work=2 * HOUR, checkpoint=600.0, downtime=60.0, recovery=600.0,
+            dist=Weibull.from_mtbf(DAY, 0.7), u=120.0,
+        )
+        key = ("dp_makespan-codec",)
+        assert store_dp_makespan(key, result)
+        warm = load_dp_makespan(key)
+        for name in ("expected_makespan", "first_chunk", "u", "tau0",
+                     "recovery"):
+            assert np.float64(getattr(warm, name)).tobytes() == np.float64(
+                getattr(result, name)
+            ).tobytes(), name
+        for name in ("_v_pre", "_c_pre", "_v_post", "_c_post"):
+            cold, hot = getattr(result, name), getattr(warm, name)
+            assert hot.dtype == cold.dtype and hot.shape == cold.shape, name
+            assert hot.tobytes() == cold.tobytes(), name
 
 
 def _concurrent_writer(args):
@@ -150,7 +276,7 @@ class TestVersionRollover:
     def test_stale_version_dirs_are_pruned_on_store(self, tmp_path):
         stale = tmp_path / "solvecache" / "deadbeefdeadbeef"
         stale.mkdir(parents=True)
-        (stale / "old.npz").write_bytes(b"stale")
+        (stale / "old.solve").write_bytes(b"stale")
         cache = DiskSolveCache(root=tmp_path)
         cache.store("dp", KEY, _arrays())
         assert not stale.exists()
@@ -162,7 +288,7 @@ class TestVersionRollover:
         # a stale version appearing after the store's one-shot prune
         stale = tmp_path / "solvecache" / "deadbeefdeadbeef"
         stale.mkdir(parents=True)
-        (stale / "old.npz").write_bytes(b"stale")
+        (stale / "old.solve").write_bytes(b"stale")
         assert cache.wipe() == 2  # the stale entry + the live one
         assert cache.load("dp", KEY) is None
         assert not stale.exists()
@@ -243,7 +369,7 @@ class TestEviction:
 def _tier_entries(cache) -> dict:
     """Brute-force walk: ``path -> (mtime_ns, size)`` of every entry."""
     out = {}
-    for path in cache.root.rglob("*.npz"):
+    for path in cache.root.rglob("*.solve"):
         stat = path.stat()
         out[path] = (stat.st_mtime_ns, stat.st_size)
     return out
@@ -501,13 +627,11 @@ class TestSolverCodecs:
         )
         fields = {f.name for f in dataclasses.fields(result)}
         assert fields == {"chunks", "expected_work", "u"}
-        entries = list((get_disk_cache().root / "replan").rglob("*.npz"))
+        entries = list((get_disk_cache().root / "replan").rglob("*.solve"))
         assert len(entries) == 1
-        with np.load(entries[0]) as payload:
-            # __meta__ is the tier's own key/version record
-            assert set(payload.files) == {
-                "__meta__", "chunks", "expected_work", "u"
-            }
+        digest = entries[0].stem
+        payload = decode_entry(entries[0].read_bytes(), "replan", digest)
+        assert set(payload) == {"chunks", "expected_work", "u"}
 
     def test_load_handles_missing_fields(self, tmp_path, monkeypatch):
         """A payload missing required arrays is a miss, not a crash."""

@@ -160,3 +160,65 @@ class TestSimpson:
 
         with pytest.raises(ValueError):
             simpson(np.ones(4), np.arange(4.0))
+
+
+class TestLazyScipy:
+    """``scipy.special`` loads only with the first Gamma or LogNormal
+    evaluation: importing the CLI or the experiment modules, as every
+    command and every Weibull or Exponential run does, leaves it out."""
+
+    def test_cli_and_experiments_import_without_scipy_special(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        code = (
+            "import sys, repro.cli, repro.experiments.scaling; "
+            "print('scipy.special' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "False"
+
+    # float.hex of sf and log_survival at t = 0, 1 h, 1 d, 5 d, and of
+    # the 0.1 / 0.5 / 0.9 quantiles, from the module-level import era
+    PINNED = {
+        "gamma": (
+            ["0x1.0000000000000p+0", "0x1.c1ee6998f816dp-1",
+             "0x1.53c3d41cb1933p-2", "0x1.3eff224e0380cp-6"],
+            ["0x0.0p+0", "-0x1.08a997d96e5dap-3",
+             "-0x1.1a6c7a3bde4f6p+0", "-0x1.f82d3886caa6fp+1"],
+            ["0x1.45167fb1ace99p+11", "0x1.632a2e4f81184p+15",
+             "0x1.b6e43ef596b3cp+17"],
+        ),
+        "lognormal": (
+            ["0x1.0000000000000p+0", "0x1.fe1ab281dda42p-1",
+             "0x1.3bf143b9aa713p-2", "0x1.1df4dd815525ep-6"],
+            ["0x0.0p+0", "-0x1.e6340f8e2bc00p-9",
+             "-0x1.2d088d9f06be5p+0", "-0x1.03160cbbc93b2p+2"],
+            ["0x1.c69df914d1358p+13", "0x1.99687f7cd1c48p+15",
+             "0x1.70b1ef2d12ff6p+17"],
+        ),
+    }
+
+    @pytest.mark.parametrize("family", ["gamma", "lognormal"])
+    def test_values_match_pinned(self, family):
+        from repro.distributions import Gamma, LogNormal
+
+        dist = (
+            Gamma.from_mtbf(DAY, 0.6)
+            if family == "gamma"
+            else LogNormal.from_mtbf(DAY, 1.0)
+        )
+        t = np.array([0.0, 3600.0, DAY, 5 * DAY])
+        got = (
+            [float(x).hex() for x in dist.sf(t)],
+            [float(x).hex() for x in dist.log_survival(t)],
+            [float(x).hex() for x in dist.quantile(np.array([0.1, 0.5, 0.9]))],
+        )
+        assert got == tuple(self.PINNED[family])

@@ -304,15 +304,18 @@ class TestPolicyMemoEquivalence:
 
     def test_vectorized_on_off_identical(self, monkeypatch):
         # cold solves on both arms, so each kernel really runs: the
-        # production kernel, then the reference one
+        # production kernel (stacked across the lockstep lanes), then
+        # the reference one
         import repro.policies.dp as dp_policies
+        from repro.core.dp_nextfailure import dp_next_failure_many
 
         with monkeypatch.context() as mp:
-            mp.setattr(dp_policies, "cached_replan", lambda *args: args[-1]())
             mp.setattr(
                 dp_policies,
-                "cached_dp_next_failure_parallel",
-                dp_next_failure_parallel,
+                "cached_replans",
+                lambda requests: dp_next_failure_many(
+                    [(r.work, r.checkpoint, r.state(), r.u) for r in requests]
+                ),
             )
             fast = self._run()
         with monkeypatch.context() as mp:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from pathlib import Path
 
 import pytest
@@ -61,10 +62,18 @@ _CASES = [
 ]
 
 
+def _case_id(index: int, argv: list[str]) -> str:
+    """The subcommand, its first argument and the case index; a path
+    argument enters by its file name alone, so the id does not depend on
+    where the checkout lives."""
+    words = [Path(word).name if os.sep in word else word for word in argv[:2]]
+    return " ".join(words) + f"#{index}"
+
+
 @pytest.mark.parametrize(
     "argv,expected",
     _CASES,
-    ids=[" ".join(c[0][:2]) + f"#{i}" for i, c in enumerate(_CASES)],
+    ids=[_case_id(i, argv) for i, (argv, _) in enumerate(_CASES)],
 )
 def test_stdout_is_one_valid_envelope(argv, expected, capsys, tmp_path,
                                       monkeypatch):
