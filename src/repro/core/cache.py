@@ -1,18 +1,20 @@
-"""Shared memoization of solved DP chunking tables.
+"""Shared memoization of solved DP tables and DPNextFailure replans.
 
 The dynamic programs are the expensive kernels of the reproduction:
 ``dp_makespan`` costs ``O((W/u)^3)`` and ``dp_next_failure_parallel``
 ``O((W/u)^2 log(W/u))`` per invocation, yet scenario sweeps call them
 with the *same* inputs over and over — every trace of a DPMakespan
-scenario solves one identical table, and repeated scenarios (PeriodLB
-sweeps, ablations, benchmark re-runs within a process) re-derive tables
-already solved.
+scenario solves one identical table, and DPNextFailure replans on
+post-failure states collide across traces.
 
-This module provides one process-wide :class:`DPTableCache` plus keyed
-wrappers for both DPs.  Keys are **exact**: the full scenario tuple
-``(distribution, W, C, D, R, quantum, tau0)`` for DPMakespan and
-``(distribution, W, C, quantum, platform-state bytes)`` for
-DPNextFailure, with the distribution identified by
+Table cache
+-----------
+One process-wide :class:`DPTableCache` serves
+:func:`cached_dp_makespan` (the DPMakespan policy's table) and direct
+calls of :func:`cached_dp_next_failure_parallel`.  Keys are **exact**:
+the full scenario tuple ``(distribution, W, C, D, R, quantum, tau0)``
+for DPMakespan and ``(distribution, W, C, quantum, platform-state
+bytes)`` for DPNextFailure, with the distribution identified by
 :meth:`repro.distributions.base.FailureDistribution.cache_key` (which
 includes every parameter, and a content digest for :class:`Empirical`).
 A cache hit therefore returns the bit-identical object the solver would
@@ -31,42 +33,36 @@ fork time and populate their own copies afterwards; per-work-unit
 hit/miss deltas are shipped back and aggregated into
 ``ScenarioResult.cache_hits`` / ``cache_misses``.
 
-Both stores are **L1** of a two-level hierarchy: on an L1 miss the
-keyed wrappers consult the persistent disk tier
+On a miss :func:`cached_dp_makespan` consults the persistent disk tier
 (:mod:`repro.core.diskcache` — content-addressed files under
 ``.repro-service/solvecache/``, shared across processes, runs and
-hosts) before solving cold, and publish fresh solves back to it.  A
+hosts) before solving cold, and publishes a fresh solve back to it.  A
 disk hit is bit-identical to a cold solve (entries hold the arrays' raw
-bytes), so the tier never changes results —
-only who pays the solve.  ``configure_disk_cache(enabled=False)`` (the
-``--no-disk-cache`` switch) bypasses it entirely.
+bytes), so the tier never changes results — only who pays the solve.
+``configure_disk_cache(enabled=False)`` (the ``--no-disk-cache``
+switch) bypasses it entirely.
 
 Replan memo
 -----------
-A second process-wide store, the **replan memo**, sits one level above
-the table cache: it memoizes whole DPNextFailure replans
-(:class:`repro.policies.dp.ReplanRequest`) across traces and sweeps
-(runner workers share them through the disk tier).
-Its key is the *quantized* platform-state signature ``(distribution,
-horizon, C, u, nexact, napprox, compress, quantized ages)`` — see
-:func:`quantize_ages`.  The policy snaps processor ages onto the DP's
-own quantum lattice *before* solving, so a memo hit trivially returns
-the bit-identical ``DPNextFailureResult`` a cold solve would produce.
-Quantization makes collisions common: every trace's fresh-platform
-initial plan shares one entry, truncated replans share the same horizon
-and quantum, and post-failure states (one age at zero, survivors on the
-lattice) collide across traces.  Counters are surfaced as
-``ScenarioResult.memo_hits`` / ``memo_misses``.
+Every DPNextFailure replan (:class:`repro.policies.dp.ReplanRequest`)
+takes one path, :func:`cached_replans`: the **replan memo**, then the
+disk tier, then a cold solve in
+:func:`repro.core.dp_nextfailure.dp_next_failure_many`, which stacks
+the solves of one lattice shape.  The lockstep lanes of the runner send
+the requests of a step together; :func:`repro.simulation.engine.simulate_job`
+and a policy called outside the engine send one
+(:func:`cached_replan`).  Replans never reach the table cache.
 
-A replan takes one of two paths through the same levels — replan memo,
-disk tier, compressed-state table cache, cold solve.
-:func:`cached_replan` resolves one replan at a time (the scalar engine,
-:func:`repro.simulation.engine.simulate_job`).  :func:`cached_replans`
-resolves the replans of one lockstep step of the runner's lanes
-together: each distinct key is looked up once, and the cold solves of
-one lattice shape run as one stacked kernel call
-(:func:`repro.core.dp_nextfailure.dp_next_failure_many`).  Both return
-bit-identical results and, unless a memo evicts, the same counters.
+The memo's key is the *quantized* platform-state signature
+``(distribution, horizon, C, u, nexact, napprox, compress, quantized
+ages)`` — see :func:`quantize_ages`.  The policy snaps processor ages
+onto the DP's own quantum lattice *before* solving, so a memo hit
+trivially returns the bit-identical ``DPNextFailureResult`` a cold
+solve would produce.  Quantization makes collisions common: every
+trace's fresh-platform initial plan shares one entry, truncated replans
+share the same horizon and quantum, and post-failure states (one age at
+zero, survivors on the lattice) collide across traces.  Counters are
+surfaced as ``ScenarioResult.memo_hits`` / ``memo_misses``.
 """
 
 from __future__ import annotations
@@ -279,20 +275,12 @@ def cached_dp_next_failure_parallel(
 
     The platform state enters the key as the exact bytes of its age and
     weight vectors, so two states hit only when they are numerically
-    identical — e.g. the fresh-platform plan every trace of a ``t0 = 0``
-    scenario starts from, or repeated sweeps over the same ages.
+    identical — e.g. repeated direct calls on the same ages.  Policy
+    replans do not come here: they go through :func:`cached_replans`.
     """
     from repro.core.dp_nextfailure import dp_next_failure_parallel
 
-    return _CACHE.get_or_compute(
-        _table_key(work, checkpoint, state, u),
-        lambda: dp_next_failure_parallel(work, checkpoint, state, u),
-    )
-
-
-def _table_key(work: float, checkpoint: float, state, u: float) -> tuple:
-    """Table-cache key of a DPNextFailure solve on ``state``."""
-    return (
+    key = (
         "dp_next_failure",
         state.dist.cache_key(),
         float(work),
@@ -300,6 +288,9 @@ def _table_key(work: float, checkpoint: float, state, u: float) -> tuple:
         float(u),
         state.taus.tobytes(),
         state.weights.tobytes(),
+    )
+    return _CACHE.get_or_compute(
+        key, lambda: dp_next_failure_parallel(work, checkpoint, state, u)
     )
 
 
@@ -348,111 +339,63 @@ def quantize_ages(ages: np.ndarray, resolution: float) -> np.ndarray:
     return np.round(ages / resolution) * resolution
 
 
-def cached_replan(
-    work: float,
-    checkpoint: float,
-    dist,
-    ages: np.ndarray,
-    u: float,
-    nexact: int,
-    napprox: int,
-    compress: bool,
-    solve,
-):
-    """Memoized full replan: returns ``solve()``'s
-    ``DPNextFailureResult``, shared by every caller whose (quantized)
-    platform-state signature matches.
-
-    ``ages`` must already be quantized by the caller
-    (:func:`quantize_ages`); the memo keys on their exact bytes plus
-    every parameter that shapes the solve.  Because the key captures the
-    full input of ``solve`` and results are immutable, a hit is
-    bit-identical to a cold solve by construction.
-
-    An L1 (memo) miss consults the persistent disk tier before calling
-    ``solve`` — this is how parallel runner workers share solves:
-    the first worker to solve a signature persists it, every later
-    worker's L1 miss becomes a disk hit instead of a duplicate solve.
-    """
-    from repro.core import diskcache
-
-    key = _replan_key(work, checkpoint, dist, ages, u, nexact, napprox, compress)
-
-    def compute():
-        stored = diskcache.load_replan(key)
-        if stored is not None:
-            return stored
-        result = solve()
-        diskcache.store_replan(key, result)
-        return result
-
-    return _REPLAN_MEMO.get_or_compute(key, compute)
+def cached_replan(request):
+    """:func:`cached_replans` of one request."""
+    return cached_replans([request])[0]
 
 
-def _replan_key(
-    work: float,
-    checkpoint: float,
-    dist,
-    ages: np.ndarray,
-    u: float,
-    nexact: int,
-    napprox: int,
-    compress: bool,
-) -> tuple:
+def _replan_key(request) -> tuple:
     """Replan-memo (and disk-tier) key of a replan signature."""
     return (
         "replan",
-        dist.cache_key(),
-        float(work),
-        float(checkpoint),
-        float(u),
-        int(nexact),
-        int(napprox),
-        bool(compress),
-        ages.tobytes(),
+        request.dist.cache_key(),
+        float(request.work),
+        float(request.checkpoint),
+        float(request.u),
+        int(request.nexact),
+        int(request.napprox),
+        bool(request.compress),
+        request.ages.tobytes(),
     )
 
 
 def cached_replans(requests: list) -> list:
-    """:func:`cached_replan` of every request of a lockstep step, in
-    order: the step's replans share every cache level, and the cold
-    solves among them run stacked.
+    """The ``DPNextFailureResult`` of every replan request, in order,
+    each shared by every caller whose (quantized) platform-state
+    signature matches.
 
-    A request carries the arguments of :func:`cached_replan` as
-    attributes (``work``, ``checkpoint``, ``dist``, ``ages``, ``u``,
-    ``nexact``, ``napprox``, ``compress``) and builds the state to solve
-    on with ``state()`` (:class:`repro.policies.dp.ReplanRequest`).
-    The levels are those of the one-at-a-time path: the replan memo,
-    then the disk tier, then the compressed-state table cache, then
-    :func:`repro.core.dp_nextfailure.dp_next_failure_many`, which
-    stacks the solves of one lattice shape.  Each solve is stored on
-    disk and in both memos under its own key.  A key repeated within
-    the step is looked up and solved once, and its repeats count as
-    memo hits, so the counters read as for :func:`cached_replan`
-    called request by request whenever the memos do not evict.
+    A request (:class:`repro.policies.dp.ReplanRequest`) carries the
+    replan signature as attributes (``work``, ``checkpoint``, ``dist``,
+    ``ages``, ``u``, ``nexact``, ``napprox``, ``compress``) and builds
+    the state to solve on with ``state()``.  ``ages`` must already be
+    quantized (:func:`quantize_ages`); the memo keys on their exact
+    bytes plus every parameter that shapes the solve, so a hit is
+    bit-identical to a cold solve by construction.
+
+    The levels are the replan memo, then the persistent disk tier (how
+    parallel runner workers share solves: the first to solve a
+    signature persists it, a later worker's memo miss loads it), then
+    :func:`repro.core.dp_nextfailure.dp_next_failure_many`, which stacks
+    the cold solves of one lattice shape.  Each fresh solve is stored on
+    disk and in the memo.  A key repeated among the requests is looked
+    up and solved once, and its repeats count as memo hits, so the
+    counters read as for one request after another whenever the memo
+    does not evict.
     """
     from repro.core import diskcache
     from repro.core.dp_nextfailure import dp_next_failure_many
 
-    keys = [
-        _replan_key(
-            r.work, r.checkpoint, r.dist, r.ages, r.u, r.nexact, r.napprox,
-            r.compress,
-        )
-        for r in requests
-    ]
+    keys = [_replan_key(request) for request in requests]
 
     def load_or_solve(positions: list[int]) -> list:
         plans = [diskcache.load_replan(keys[pos]) for pos in positions]
         cold = [pos for pos, plan in zip(positions, plans) if plan is None]
-        problems = [
-            (requests[pos].work, requests[pos].checkpoint, requests[pos].state(),
-             requests[pos].u)
-            for pos in cold
-        ]
-        solved = _CACHE.get_or_compute_many(
-            [_table_key(*problem) for problem in problems],
-            lambda first: dp_next_failure_many([problems[i] for i in first]),
+        solved = dp_next_failure_many(
+            [
+                (requests[pos].work, requests[pos].checkpoint,
+                 requests[pos].state(), requests[pos].u)
+                for pos in cold
+            ]
         )
         fresh = dict(zip(cold, solved))
         for pos in cold:

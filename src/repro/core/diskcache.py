@@ -477,8 +477,11 @@ class DiskSolveCache:
             self._prune_stale_versions()
             path.parent.mkdir(parents=True, exist_ok=True)
             tmp.write_bytes(raw)
+            # stat before the rename, which keeps inode, size and mtime:
+            # after it, another thread's eviction may already have
+            # removed the entry that landed
+            stat = tmp.stat()
             os.replace(tmp, path)
-            stat = path.stat()
         except (OSError, ValueError):
             with contextlib.suppress(OSError):
                 tmp.unlink()

@@ -17,13 +17,13 @@ case (full platform state), because both reduce to a single collapsed
 log-survival advance table (:class:`repro.core.state.SurvivalTable`).
 
 The DP kernel, :func:`_solve_stacked`, solves several lattices of one
-shape in one pass with a leading lane axis; :func:`_solve` is its
-one-lane call and :func:`dp_next_failure_many` groups a batch of
-problems by shape (the lockstep replans of
-:func:`repro.core.cache.cached_replans`).  A result is only the
-schedule and its value: the DP's choice table is a local of the kernel,
-dropped once the schedule is rebuilt, so a memoized or persisted replan
-costs its chunk array and two floats.
+shape in one pass with a leading lane axis.  Every solve goes through
+:func:`dp_next_failure_many`, which groups a batch of problems by shape
+(the replans of :func:`repro.core.cache.cached_replans`);
+:func:`dp_next_failure_parallel` is its one-problem call.  A result is
+only the schedule and its value: the DP's choice table is a local of
+the kernel, dropped once the schedule is rebuilt, so a memoized or
+persisted replan costs its chunk array and two floats.
 """
 
 from __future__ import annotations
@@ -147,13 +147,6 @@ def _solve_stacked(
     return results
 
 
-def _solve(
-    table: SurvivalTable, x0: int, u: float, n_cap: int
-) -> DPNextFailureResult:
-    """The DP on one lattice: the one-lane call of :func:`_solve_stacked`."""
-    return _solve_stacked([table], x0, [u], n_cap)[0]
-
-
 def dp_next_failure(
     work: float,
     checkpoint: float,
@@ -224,9 +217,7 @@ def dp_next_failure_parallel(
     cost is independent of the number of processors thanks to the
     collapsed advance table.
     """
-    x0, n_cap = _lattice(work, checkpoint, state, u)
-    table = SurvivalTable.build(state, u, checkpoint, na=x0, nb=n_cap + 1)
-    return _solve(table, x0, u, n_cap)
+    return dp_next_failure_many([(work, checkpoint, state, u)])[0]
 
 
 def _lattice(

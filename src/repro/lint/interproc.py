@@ -14,6 +14,8 @@ call graph and computes, lazily and once:
   excluded before propagation;
 - **kernel reachability** — whether a function drives any kernel
   (a function defined under ``core/``, ``simulation/`` or ``traces/``);
+- **sampling closure** — the functions that reach a randomness sink
+  (R6);
 - **exception leaks** — per function, the unguarded ``raise``
   statements and raise-prone socket writes it can propagate to a
   caller, stopping at broad ``except`` boundaries (R15).
@@ -113,6 +115,7 @@ class InterAnalysis:
         self.graph: CallGraph = build_call_graph(model)
         self._taint: dict[str, dict[str, Hop]] | None = None
         self._kernel: dict[str, dict[str, Hop]] | None = None
+        self._sampling: set[str] | None = None
         self._leaks: dict[str, dict[str, Hop]] | None = None
 
     # -- determinism taint (R13) ---------------------------------------
@@ -172,6 +175,24 @@ class InterAnalysis:
             return None
         chain = witness_chain(self.kernel_summary(), fqid, self._KERNEL_LABEL)
         return chain[-1][0] if chain else None
+
+    # -- sampling closure (R6) -----------------------------------------
+
+    def sampling_functions(self) -> set[str]:
+        """Fully-qualified ids of functions that reach a randomness sink
+        (one that samples directly) through calls or function-reference
+        arguments."""
+        if self._sampling is None:
+            sources = {
+                f"{mod.module}.{fn.qualname}": {
+                    "sample": Hop(None, fn.lineno, fn.col)
+                }
+                for mod, fn in self.model.functions()
+                if fn.samples_directly
+            }
+            summary = reach_summaries(self.graph.edge_map(), sources)
+            self._sampling = {fqid for fqid, labels in summary.items() if labels}
+        return self._sampling
 
     # -- exception leaks (R15) -----------------------------------------
 

@@ -490,7 +490,7 @@ def _toplevel_calls(tree: ast.Module) -> list[CallSite]:
 
 
 class ProjectModel:
-    """Cross-module view: name resolution, call graph, sampling closure."""
+    """Cross-module view: name resolution and the call graph."""
 
     def __init__(self, modules: list[ModuleInfo]):
         self.modules: dict[str, ModuleInfo] = {m.module: m for m in modules}
@@ -498,7 +498,6 @@ class ProjectModel:
         for mod in self.modules.values():
             for fn in mod.functions.values():
                 self._function_index[f"{mod.module}.{fn.qualname}"] = (mod, fn)
-        self._sampling: set[str] | None = None
         self._analysis: InterAnalysis | None = None
 
     # -- lookups -------------------------------------------------------
@@ -654,40 +653,3 @@ class ProjectModel:
 
             self._analysis = InterAnalysis(self)
         return self._analysis
-
-    # -- sampling closure ----------------------------------------------
-
-    def sampling_functions(self) -> set[str]:
-        """Fully-qualified ids of functions that reach a randomness sink
-        through resolved calls or function-reference arguments."""
-        if self._sampling is not None:
-            return self._sampling
-        sampling: set[str] = {
-            f"{mod.module}.{fn.qualname}"
-            for mod, fn in self.functions()
-            if fn.samples_directly
-        }
-        # reverse edges: callee/reference id -> set of caller ids
-        callers: dict[str, set[str]] = {}
-        for mod, fn in self.functions():
-            caller_id = f"{mod.module}.{fn.qualname}"
-            for call in fn.calls:
-                resolved = self.resolve(mod, call.callee)
-                if resolved is not None:
-                    callers.setdefault(resolved, set()).add(caller_id)
-                # function references passed as arguments create
-                # potential edges too (executor.map(fn, ...), etc.)
-                for arg in call.args:
-                    if arg.kind == "name" and arg.dotted:
-                        ref = self.resolve(mod, arg.dotted)
-                        if ref is not None:
-                            callers.setdefault(ref, set()).add(caller_id)
-        frontier = list(sampling)
-        while frontier:
-            fn_id = frontier.pop()
-            for caller in callers.get(fn_id, ()):
-                if caller not in sampling:
-                    sampling.add(caller)
-                    frontier.append(caller)
-        self._sampling = sampling
-        return sampling

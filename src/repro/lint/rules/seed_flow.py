@@ -74,7 +74,7 @@ class SeedFlowRule:
     )
 
     def check_project(self, model: ProjectModel) -> Iterator[Diagnostic]:
-        sampling = model.sampling_functions()
+        sampling = model.analysis().sampling_functions()
         for mod in sorted(model.modules.values(), key=lambda m: m.path):
             if not _in_scope(mod):
                 continue

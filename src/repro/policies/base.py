@@ -91,11 +91,12 @@ class Policy(abc.ABC):
         """A solve the next :meth:`next_chunk` waits on, or None.
 
         The engine asks before every :meth:`next_chunk`.  A request it
-        gets is answered — alone by ``request.resolve()``, or with the
-        requests of other lockstep lanes by ``request.resolve_all``
-        (:func:`repro.simulation.batch.simulate_policy_ensemble`) — and
-        the answer handed back through :meth:`adopt_plan`.  Policies
-        that never wait on a solve keep this default.
+        gets is answered by ``request.resolve_all(requests)``, with the
+        requests of the other lockstep lanes
+        (:func:`repro.simulation.batch.simulate_policy_ensemble`) or
+        alone (:func:`repro.simulation.engine.simulate_job`), and the
+        answer handed back through :meth:`adopt_plan`.  Policies that
+        never wait on a solve keep this default.
         """
         return None
 

@@ -21,13 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.cache import (
-    cached_dp_makespan,
-    cached_dp_next_failure_parallel,
-    cached_replan,
-    cached_replans,
-    quantize_ages,
-)
+from repro.core.cache import cached_dp_makespan, cached_replans, quantize_ages
 from repro.core.state import PlatformState
 from repro.distributions.base import FailureDistribution
 from repro.distributions.minimum import MinOfIID
@@ -46,10 +40,9 @@ class ReplanRequest:
     """One DPNextFailure replan: the full input of its solve, with the
     ages already snapped to the lattice (:func:`quantize_ages`).
 
-    The policy hands it to the engine (:meth:`Policy.plan_request`);
-    :meth:`resolve` answers it alone, :meth:`resolve_all` answers the
-    requests of a lockstep step together.  Both return the same results
-    through the same cache levels.
+    The policy hands it to the engine (:meth:`Policy.plan_request`),
+    which answers it with the requests of the other lockstep lanes, or
+    alone, through :meth:`resolve_all`.
     """
 
     work: float
@@ -68,28 +61,10 @@ class ReplanRequest:
             state = state.compress(self.nexact, self.napprox)
         return state
 
-    def resolve(self) -> "DPNextFailureResult":
-        """This replan alone: the replan memo and disk tier
-        (:func:`cached_replan`), then the compressed-state table cache
-        (:func:`cached_dp_next_failure_parallel`)."""
-        return cached_replan(
-            self.work,
-            self.checkpoint,
-            self.dist,
-            self.ages,
-            self.u,
-            self.nexact,
-            self.napprox,
-            self.compress,
-            lambda: cached_dp_next_failure_parallel(
-                self.work, self.checkpoint, self.state(), self.u
-            ),
-        )
-
     @staticmethod
     def resolve_all(requests: list) -> list:
-        """Every request of a lockstep step, solves stacked
-        (:func:`cached_replans`)."""
+        """The plan of every request, in order: the replan memo, the
+        disk tier, then stacked cold solves (:func:`cached_replans`)."""
         return cached_replans(requests)
 
 
@@ -211,7 +186,7 @@ class DPNextFailurePolicy(Policy):
         # its replan resolved here.
         request = self.plan_request(remaining, ctx)
         if request is not None:
-            self.adopt_plan(request, request.resolve())
+            self.adopt_plan(request, cached_replans([request])[0])
         w = self._queue.popleft()
         return min(w, remaining)
 

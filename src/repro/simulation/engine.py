@@ -152,7 +152,7 @@ def simulate_job(
     chunk costs ``chunk + checkpoint`` seconds and is lost if any unit
     fails before the checkpoint completes.  A plan the policy waits on
     (:meth:`~repro.policies.base.Policy.plan_request`) is resolved on
-    the spot, one replan at a time.
+    the spot, as a batch of one request (its ``resolve_all``).
     """
     steps = job_steps(
         policy,
@@ -168,7 +168,7 @@ def simulate_job(
     try:
         request = next(steps)
         while True:
-            request = steps.send(request.resolve())
+            request = steps.send(request.resolve_all([request])[0])
     except StopIteration as done:
         return done.value
 

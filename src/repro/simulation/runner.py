@@ -67,7 +67,8 @@ class ScenarioResult:
         Worker processes used (1 = in-process serial).
     cache_hits / cache_misses:
         DP-table cache lookups observed during the run, aggregated over
-        all workers (see :mod:`repro.core.cache`).
+        all workers: DPMakespan tables only, since DPNextFailure replans
+        go through the replan memo (see :mod:`repro.core.cache`).
     memo_hits / memo_misses:
         DPNextFailure replan-memo lookups observed during the run,
         aggregated over all workers; both zero when no adaptive policy

@@ -93,30 +93,29 @@ def dist_id(dist):
 
 def bypass_solve_caches(mp):
     """Cold solves for every DP policy: DPNextFailure replans and
-    DPMakespan / DPNextFailure tables go straight to the solvers — no
-    table cache, no replan memo, no disk tier.  DPNextFailure tables
-    come from the reference kernel (:mod:`tests.nextfailure_oracle`:
-    full scalar lattice, fancy-index DP), not the production one."""
+    DPMakespan tables go straight to the solvers — no table cache, no
+    replan memo, no disk tier.  Every DPNextFailure replan, of a lane
+    step or of ``simulate_job``, passes through ``cached_replans`` as
+    the policy module sees it; here each is answered by the reference
+    kernel (:mod:`tests.nextfailure_oracle`: full scalar lattice,
+    fancy-index DP), not the production one."""
     import repro.policies.dp as dp_policies
     from repro.core.dp_makespan import dp_makespan
 
     from . import nextfailure_oracle
 
-    # cached_replan(work, C, dist, ages, u, nexact, napprox, compress, solve)
-    mp.setattr(dp_policies, "cached_replan", lambda *args: args[-1]())
-    # lockstep lanes resolve their replans one by one, through the above
     mp.setattr(
         dp_policies,
         "cached_replans",
-        lambda requests: [request.resolve() for request in requests],
+        lambda requests: [
+            nextfailure_oracle.dp_next_failure_parallel(
+                r.work, r.checkpoint, r.state(), r.u
+            )
+            for r in requests
+        ],
     )
     mp.setattr(
         dp_policies, "cached_dp_makespan", lambda **kw: dp_makespan(**kw)
-    )
-    mp.setattr(
-        dp_policies,
-        "cached_dp_next_failure_parallel",
-        nextfailure_oracle.dp_next_failure_parallel,
     )
 
 

@@ -498,6 +498,21 @@ class TestTierIndex:
         assert set(map(str, entries)) <= set(index.entries)
         assert index.total == sum(sz for _, sz in index.entries.values())
 
+    def test_store_evicted_right_after_landing_counts(self, tmp_path, monkeypatch):
+        """Another thread may evict a fresh entry between its rename and
+        the store's bookkeeping: the store still landed and counts."""
+        cache = DiskSolveCache(root=tmp_path / "tier")
+        replace = os.replace
+
+        def replace_then_evict(src, dst):
+            replace(src, dst)
+            os.unlink(dst)
+
+        monkeypatch.setattr(os, "replace", replace_then_evict)
+        assert cache.store("dp", KEY, _arrays())
+        assert cache.stats().stores == 1
+        assert cache.load("dp", KEY) is None  # it really is gone
+
     def test_counters_flushed_at_exit(self, tmp_path):
         """A process that only stores, outside any work unit, still
         leaves its lifetime counters behind."""
@@ -583,26 +598,27 @@ class TestSolverCodecs:
         assert np.array_equal(warm._v_post, cold._v_post)
         assert np.array_equal(warm._c_post, cold._c_post)
 
-    def test_replan_disk_warm_bit_identical(self):
-        from repro.core.dp_nextfailure import dp_next_failure_parallel
-        from repro.core.state import PlatformState
-
-        dist = Exponential.from_mtbf(DAY)
-        ages = np.zeros(4)
-        calls = []
-
-        def solve():
-            calls.append(1)
-            state = PlatformState(ages, dist)
-            return dp_next_failure_parallel(2 * HOUR, 600.0, state, 600.0)
-
-        args = (2 * HOUR, 600.0, dist, ages, 600.0, 10, 100, True, solve)
-        cold = cached_replan(*args)
+    def test_replan_disk_warm_bit_identical(self, monkeypatch):
+        import repro.core.dp_nextfailure as dpnf
         from repro.core.cache import clear_replan_memo
+        from repro.policies.dp import ReplanRequest
 
+        request = ReplanRequest(
+            2 * HOUR, 600.0, Exponential.from_mtbf(DAY), np.zeros(4), 600.0,
+            10, 100, True,
+        )
+        solves = []
+        real = dpnf.dp_next_failure_many
+
+        def counting(problems):
+            solves.extend(problems)
+            return real(problems)
+
+        monkeypatch.setattr(dpnf, "dp_next_failure_many", counting)
+        cold = cached_replan(request)
         clear_replan_memo()
-        warm = cached_replan(*args)
-        assert len(calls) == 1  # second call served from disk, not solved
+        warm = cached_replan(request)
+        assert len(solves) == 1  # second call served from disk, not solved
         assert np.array_equal(warm.chunks, cold.chunks)
         assert warm.expected_work == cold.expected_work
         assert warm.u == cold.u
@@ -611,19 +627,14 @@ class TestSolverCodecs:
         """A replan result carries no DP table, in memory or on disk."""
         import dataclasses
 
-        from repro.core.dp_nextfailure import dp_next_failure_parallel
-        from repro.core.state import PlatformState
+        from repro.policies.dp import ReplanRequest
 
-        dist = Weibull.from_mtbf(DAY, 0.7)
         ages = np.array([0.0, 600.0, 3 * HOUR])
-
-        def solve():
-            return dp_next_failure_parallel(
-                4 * HOUR, 600.0, PlatformState(ages, dist), 600.0
-            )
-
         result = cached_replan(
-            4 * HOUR, 600.0, dist, ages, 600.0, 10, 100, True, solve
+            ReplanRequest(
+                4 * HOUR, 600.0, Weibull.from_mtbf(DAY, 0.7), ages, 600.0,
+                10, 100, True,
+            )
         )
         fields = {f.name for f in dataclasses.fields(result)}
         assert fields == {"chunks", "expected_work", "u"}

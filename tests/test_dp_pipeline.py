@@ -10,6 +10,8 @@ bit-identical result of the cold solve it stands in for.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,7 @@ from repro.core.dp_nextfailure import (
 )
 from repro.core.state import PlatformState, SurvivalTable
 from repro.distributions import Empirical, Exponential, Gamma, LogNormal, Weibull
+from repro.policies.dp import ReplanRequest
 from repro.units import DAY, HOUR
 
 from . import nextfailure_oracle as oracle
@@ -213,40 +216,34 @@ class TestReplanMemo:
         ages = quantize_ages(
             rng.uniform(0.0, 10 * DAY, size=int(rng.integers(2, 32))), u
         )
-
-        def solve():
-            state = PlatformState(ages, dist).compress(nexact, napprox)
-            return dp_next_failure_parallel(horizon, checkpoint, state, u)
-
-        cold = cached_replan(
-            horizon, checkpoint, dist, ages, u, nexact, napprox, True, solve
+        request = ReplanRequest(
+            horizon, checkpoint, dist, ages, u, nexact, napprox, True
         )
-        hit = cached_replan(
-            horizon, checkpoint, dist, ages, u, nexact, napprox, True, solve
-        )
+
+        cold = cached_replan(request)
+        hit = cached_replan(request)
         assert hit is cold  # same object: trivially bit-identical
         # and the object equals an independent cold solve bit-for-bit
-        fresh = solve()
+        fresh = dp_next_failure_parallel(horizon, checkpoint, request.state(), u)
         assert np.array_equal(hit.chunks, fresh.chunks)
         assert hit.expected_work == fresh.expected_work
         stats = replan_memo_stats()
         assert stats.hits == 1 and stats.misses == 1
 
     def test_key_separates_parameters(self):
-        dist = Exponential(1.0 / DAY)
-        ages = np.zeros(4)
-
-        def solve():
-            state = PlatformState(ages, dist)
-            return dp_next_failure_parallel(4 * HOUR, 600.0, state, 600.0)
-
-        base = (4 * HOUR, 600.0, dist, ages, 600.0, 10, 100, True)
-        cached_replan(*base, solve)
+        base = ReplanRequest(
+            4 * HOUR, 600.0, Exponential(1.0 / DAY), np.zeros(4), 600.0,
+            10, 100, True,
+        )
+        cached_replan(base)
         # any parameter change is a miss, not a wrong hit
-        cached_replan(8 * HOUR, *base[1:], solve)
-        cached_replan(base[0], 300.0, *base[2:], solve)
-        cached_replan(*base[:5], 5, *base[6:], solve)
-        cached_replan(*base[:7], False, solve)
+        for change in (
+            {"work": 8 * HOUR},
+            {"checkpoint": 300.0},
+            {"nexact": 5},
+            {"compress": False},
+        ):
+            cached_replan(dataclasses.replace(base, **change))
         stats = replan_memo_stats()
         assert stats.hits == 0 and stats.misses == 5
 

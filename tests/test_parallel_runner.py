@@ -73,11 +73,11 @@ class TestDeterminism:
     def test_batch_size_does_not_change_results(self, monkeypatch):
         platform = _platform(Exponential.from_mtbf(12 * HOUR))
         a = _run([Young()], platform, jobs=1)
-        # one trace per work unit instead of the cost-model split
+        # one trace per work unit instead of one unit per worker
         monkeypatch.setattr(
             ParallelRunner,
             "_trace_batches",
-            lambda self, indices, per_trace_cost=1.0: [[i] for i in indices],
+            lambda self, indices: [[i] for i in indices],
         )
         b = _run([Young()], platform, jobs=1)
         assert b.scheduler["units"] > a.scheduler["units"]

@@ -1,0 +1,39 @@
+"""The span tracer's wrapped names still exist.
+
+``perfbench/spans.py`` wraps each of its ``TARGETS`` by module path
+when a traced benchmark pass starts; a renamed or deleted target makes
+only the traced pass fail.  This test looks every target up the way
+``install`` does, without installing anything, so such a rename fails
+here as well.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import pathlib
+
+import pytest
+
+_SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", _SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_MODULE = _load_spans()
+
+
+@pytest.mark.parametrize(
+    "module_name, attr",
+    [(module_name, attr) for module_name, attr, _name, _count in _MODULE.TARGETS],
+    ids=lambda value: value,
+)
+def test_target_resolves_as_install_does(module_name, attr):
+    _module, owner, leaf = _MODULE._resolve(module_name, attr)
+    raw = owner.__dict__[leaf]
+    fn = raw.__func__ if isinstance(raw, classmethod) else raw
+    assert callable(fn)
