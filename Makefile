@@ -42,10 +42,11 @@ bench-smoke:
 # a wrapped call that changes shape fails here), which solves every
 # replan and writes the disk tier, one table4_warm
 # pass, which replays the goldens through disk-tier loads (the replan
-# codec's read side), and one sweep_static_par pass, which checks the
-# two-worker pool path (lockstep static replay, shared-memory rows, the
-# PeriodLB makespans taken from the candidate lanes); every (policy,
-# trace) is checked against perfbench/goldens/.  The sweep needs two
+# codec's read side), and one sweep_static_par pass, also traced, which
+# checks the two-worker pool path (lockstep static replay, shared-memory
+# rows, the PeriodLB makespans taken from the candidate lanes) and the
+# merge of the workers' span files; every (policy, trace) is checked
+# against perfbench/goldens/.  The sweep needs two
 # CPUs (run.py refuses it on fewer) and is skipped with a message there.
 # run.py exits 0 even on a golden mismatch, so its last stdout line
 # (the JSON result) is checked here; no output at all fails too.
@@ -57,7 +58,7 @@ perfbench-check:
 		echo "perfbench-check: fewer than 2 CPUs -- skipping sweep_static_par"; \
 	fi; \
 	for workload in $$workloads; do \
-		trace=0; [ "$$workload" = table4_cold ] && trace=1; \
+		trace=1; [ "$$workload" = table4_warm ] && trace=0; \
 		$(PYTHON) perfbench/run.py --workload $$workload --seconds 1 --trace $$trace \
 			| $(PYTHON) -c 'import json, sys; lines = sys.stdin.read().splitlines(); print(*lines, sep="\n"); doc = json.loads(lines[-1]) if lines else {}; sys.exit(0 if doc.get("correct") is True and doc.get("failed") == 0 else "perfbench-check: goldens not matched")' \
 			|| exit 1; \

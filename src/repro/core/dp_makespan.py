@@ -36,7 +36,9 @@ from repro.distributions.base import FailureDistribution
 
 __all__ = ["DPMakespanResult", "dp_makespan", "expected_trec_general"]
 
-_LOG_FLOOR = -700.0  # exp(-700) ~ 1e-304: survival floor avoiding inf-inf
+# exp(-700) ~ 1e-304: survival floor, relative to a plane's start,
+# avoiding inf - inf
+_LOG_FLOOR = -700.0
 
 
 def expected_trec_general(dist: FailureDistribution, d: float, r: float) -> float:
@@ -52,14 +54,25 @@ def expected_trec_general(dist: FailureDistribution, d: float, r: float) -> floa
 
 
 class _Plane:
-    """Per-plane survival tables: ``S(base + z*u)`` and its integral."""
+    """Per-plane survival tables: ``S(base + z*u)`` and its integral.
+
+    Every quantity the DP reads is a ratio of survivals on one plane, so
+    the tables are taken relative to the plane's start ``S(base)``: the
+    log floor sits 700 below ``log S(base)`` and ``s`` is
+    ``S(base + z*u) / S(base)``.  A public ``tau0`` may be old enough
+    that ``log S(tau0)`` itself is below -700; absolute tables would
+    then floor or underflow every cell.  With ``S(base) = 1`` (the
+    policy's ``tau0 = 0``) both forms are the same bits.
+    """
 
     def __init__(self, dist: FailureDistribution, base: float, u: float, n: int):
         grid = base + np.arange(n + 1, dtype=float) * u
-        self.log_s = np.maximum(dist.logsf(grid), _LOG_FLOOR)
-        s = np.exp(self.log_s)
+        log_s = dist.logsf(grid)
+        start = log_s[0] if np.isfinite(log_s[0]) else 0.0
+        self.log_s = np.maximum(log_s, start + _LOG_FLOOR)
+        s = np.exp(self.log_s - start)
         self.s = s
-        # CS[z] = integral of S(base + t) dt for t in [0, z*u] (trapezoid)
+        # CS[z] = integral of s over [0, z*u] (trapezoid)
         self.cs = np.concatenate([[0.0], np.cumsum(0.5 * (s[1:] + s[:-1]) * u)])
 
     def psuc(self, y: int, deltas: np.ndarray) -> np.ndarray:

@@ -217,7 +217,15 @@ class SurvivalTable:
             cells[lo : lo + step] = np.einsum("i,ij->j", state.weights, logsf)
         m2 = np.full((na + 1, nb + 1), np.nan)
         m2[reachable] = cells
-        # Floor at exp(-700) ~ 1e-304 so that differences of two
-        # "impossible" entries stay finite (0 probability) instead of
-        # producing inf - inf = nan in the DP.  NaN cells stay NaN.
-        return cls(m2=np.maximum(m2, -700.0), u=float(u), c=float(c))
+        # The DP reads only differences of cells: survival relative to
+        # the start state, whose own cell already carries the
+        # processors' ages.  Flooring at exp(-700) ~ 1e-304 *relative to
+        # the start* keeps differences of two "impossible" cells finite
+        # (0 probability) instead of inf - inf = nan, and leaves every
+        # state above that relative probability untouched.  An absolute
+        # -700 would flatten the whole table of a large, old platform
+        # to ties.  A non-finite start falls back to -700.  NaN cells
+        # stay NaN.
+        start = m2[0, 0]
+        floor = start - 700.0 if np.isfinite(start) else -700.0
+        return cls(m2=np.maximum(m2, floor), u=float(u), c=float(c))

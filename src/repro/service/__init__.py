@@ -25,7 +25,11 @@ See ``docs/service.md`` for the architecture and lifecycle, and
 
 from __future__ import annotations
 
-from repro.service.client import ServiceClient, ServiceError
+import importlib
+
+# The envelope is stdlib-only and every caller needs it.  Binding its
+# names here also keeps ``repro.service.envelope`` the function, not
+# the submodule of the same name.
 from repro.service.envelope import (
     SCHEMA,
     envelope,
@@ -33,27 +37,30 @@ from repro.service.envelope import (
     hlog,
     validate_envelope,
 )
-from repro.service.queue import JobQueue, JobRecord
-from repro.service.serialize import (
-    scenario_result_from_dict,
-    scenario_result_to_dict,
-)
-from repro.service.spec import ScenarioSpec
-from repro.service.store import ResultStore, store_version
 
-__all__ = [
-    "SCHEMA",
-    "JobQueue",
-    "JobRecord",
-    "ResultStore",
-    "ScenarioSpec",
-    "ServiceClient",
-    "ServiceError",
-    "envelope",
-    "error_envelope",
-    "hlog",
-    "scenario_result_from_dict",
-    "scenario_result_to_dict",
-    "store_version",
-    "validate_envelope",
-]
+# re-exported name -> submodule, loaded on first access (PEP 562): the
+# CLI imports only the envelope, and the rest pulls in the queue, the
+# runner, NumPy and ``http.client``
+_LAZY = {
+    "JobQueue": "queue",
+    "JobRecord": "queue",
+    "ResultStore": "store",
+    "ScenarioSpec": "spec",
+    "ServiceClient": "client",
+    "ServiceError": "client",
+    "scenario_result_from_dict": "serialize",
+    "scenario_result_to_dict": "serialize",
+    "store_version": "store",
+}
+
+__all__ = sorted(
+    ["SCHEMA", "envelope", "error_envelope", "hlog", "validate_envelope", *_LAZY]
+)
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+

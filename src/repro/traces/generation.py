@@ -11,6 +11,13 @@ Following Section 4.3 of the paper:
 - when varying the number of processors ``p``, the traces for a ``p``-unit
   job are the *prefix* of the traces generated for the largest platform,
   so results are coherent across ``p``.
+
+A platform's traces are one flat, unit-major array of failure dates
+(unit 0's dates, then unit 1's, ...) plus per-unit event counts, so
+generating a platform and merging a job's units into one event stream
+are whole-array operations: no step of the common path runs once per
+unit.  The per-unit formulation they replace is the test oracle
+``tests/traces_oracle.py``; both give the same arrays bit for bit.
 """
 
 from __future__ import annotations
@@ -34,6 +41,32 @@ __all__ = [
 ]
 
 
+def _renewal(
+    dist: FailureDistribution,
+    rng: np.random.Generator,
+    t: float,
+    horizon: float,
+    downtime: float,
+    batch: int,
+) -> np.ndarray:
+    """Failure dates up to ``horizon`` of a unit whose lifetime starts
+    fresh at ``t``, drawn ``batch`` lifetimes at a time.
+
+    Within a batch, failure k lands at t + sum(x_1..x_k) + (k-1) *
+    downtime, a strictly increasing sequence, so the horizon crossing is
+    a single searchsorted.
+    """
+    chunks: list[np.ndarray] = []
+    while True:
+        xs = np.asarray(dist.sample(rng, size=batch), dtype=float)
+        fails = t + np.cumsum(xs) + downtime * np.arange(batch)
+        cut = int(np.searchsorted(fails, horizon, side="right"))
+        chunks.append(fails[:cut])
+        if cut < batch:
+            return np.concatenate(chunks)
+        t = fails[-1] + downtime
+
+
 def generate_failure_times(
     dist: FailureDistribution,
     horizon: float,
@@ -47,27 +80,12 @@ def generate_failure_times(
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    # Vectorized renewal sampling: within a batch, failure k lands at
-    # t + sum(x_1..x_k) + (k-1) * downtime, a strictly increasing
-    # sequence, so the horizon crossing is a single searchsorted.
-    mean = max(dist.mean(), 1e-9)
-    batch = max(16, int(horizon / (mean + downtime) * 1.25) + 16)
-    chunks: list[np.ndarray] = []
-    t = 0.0
-    while True:
-        xs = np.asarray(dist.sample(rng, size=batch), dtype=float)
-        fails = t + np.cumsum(xs) + downtime * np.arange(batch)
-        cut = int(np.searchsorted(fails, horizon, side="right"))
-        chunks.append(fails[:cut])
-        if cut < batch:
-            break
-        t = fails[-1] + downtime
-    return np.concatenate(chunks) if chunks else np.empty(0)
+    batch = _trace_batch_size(dist, horizon, downtime)
+    return _renewal(dist, rng, 0.0, horizon, downtime, batch)
 
 
 def _trace_batch_size(dist: FailureDistribution, horizon: float, downtime: float) -> int:
-    """Samples per unit expected to cover ``horizon`` with headroom
-    (same sizing rule as :func:`generate_failure_times`)."""
+    """Samples per unit expected to cover ``horizon`` with ~25% headroom."""
     mean = max(dist.mean(), 1e-9)
     return max(16, int(horizon / (mean + downtime) * 1.25) + 16)
 
@@ -88,7 +106,9 @@ def generate_platform_traces(
     on ``(dist, horizon, downtime)``, row ``i`` is the same values
     whatever ``n_units`` is — traces stay *prefix-coherent*: the traces
     of a ``p``-unit job are the first ``p`` rows of any larger platform
-    (paper Section 4.3).
+    (paper Section 4.3).  One boolean mask over the failure-date matrix
+    reads every unit's dates within the horizon out into the flat
+    unit-major array.
 
     The rare unit whose batch does not reach the horizon (the sizing
     gives ~25% headroom) is continued from its own spawned child stream
@@ -105,32 +125,33 @@ def generate_platform_traces(
     xs = np.asarray(dist.sample(rng, size=(n_units, batch)), dtype=float)
     # failure k of a unit lands at sum(x_1..x_k) + (k-1) * downtime
     fails = np.cumsum(xs, axis=1) + downtime * np.arange(batch)[None, :]
-    # per-unit horizon crossing; rows are strictly increasing
-    cuts = np.sum(fails <= horizon, axis=1)
-    children = None
-    per_unit: list[np.ndarray] = []
-    for i in range(n_units):
-        head = fails[i, : cuts[i]]
-        if cuts[i] < batch:
-            per_unit.append(head)
-            continue
-        # batch exhausted before the horizon: continue this unit's
-        # renewal process from its dedicated child stream
-        if children is None:
-            children = ss.spawn(n_units)
-        tail_rng = np.random.default_rng(children[i])
-        t = float(fails[i, -1]) + downtime
-        tail_chunks = [head]
-        while True:
-            ys = np.asarray(dist.sample(tail_rng, size=batch), dtype=float)
-            tail = t + np.cumsum(ys) + downtime * np.arange(batch)
-            cut = int(np.searchsorted(tail, horizon, side="right"))
-            tail_chunks.append(tail[:cut])
-            if cut < batch:
-                break
-            t = tail[-1] + downtime
-        per_unit.append(np.concatenate(tail_chunks))
-    return PlatformTraces(per_unit, horizon=horizon, downtime=downtime)
+    # rows are increasing, so each row's dates within the horizon are a
+    # prefix of it and the row-major mask reads them out unit-major
+    inside = fails <= horizon
+    counts = np.count_nonzero(inside, axis=1).astype(np.int64)
+    times = fails[inside]
+    short = np.flatnonzero(counts == batch)
+    if short.size:
+        # batch exhausted before the horizon: continue each such unit's
+        # renewal process from its dedicated child stream, and insert
+        # the tail after the unit's head in the flat array
+        children = ss.spawn(n_units)
+        tails = [
+            _renewal(
+                dist,
+                np.random.default_rng(children[i]),
+                float(fails[i, -1]) + downtime,
+                horizon,
+                downtime,
+                batch,
+            )
+            for i in short
+        ]
+        sizes = np.array([tail.size for tail in tails], dtype=np.int64)
+        ends = np.cumsum(counts)[short]
+        times = np.insert(times, np.repeat(ends, sizes), np.concatenate(tails))
+        counts[short] += sizes
+    return PlatformTraces._from_flat(times, counts, horizon, downtime)
 
 
 def generate_rejuvenated_platform_traces(
@@ -187,24 +208,44 @@ class JobTraces:
         """
         starts = np.zeros(self.n_units)
         before = self.times < t0
-        if before.any():
-            # last failure per unit among events before t0
-            for u, tf in zip(self.units[before], self.times[before]):
-                starts[u] = max(starts[u], tf + self.downtime)
+        # a unit's latest failure before t0 wins; max does not round, so
+        # this is exact whatever order the events come in
+        np.maximum.at(starts, self.units[before], self.times[before] + self.downtime)
         return starts
 
 
 class PlatformTraces:
-    """Failure traces of a full platform; jobs consume unit prefixes."""
+    """Failure traces of a full platform; jobs consume unit prefixes.
+
+    ``times`` holds every unit's failure dates, unit-major (unit 0's
+    sorted dates, then unit 1's, ...), and ``counts[i]`` is the number
+    of dates of unit ``i``.
+    """
 
     def __init__(self, per_unit: list[np.ndarray], horizon: float, downtime: float):
-        self.per_unit = [np.asarray(t, dtype=float) for t in per_unit]
+        arrays = [np.asarray(t, dtype=float) for t in per_unit]
+        self.times = np.concatenate(arrays) if arrays else np.empty(0)
+        self.counts = np.array([a.size for a in arrays], dtype=np.int64)
         self.horizon = float(horizon)
         self.downtime = float(downtime)
 
+    @classmethod
+    def _from_flat(
+        cls, times: np.ndarray, counts: np.ndarray, horizon: float, downtime: float
+    ) -> "PlatformTraces":
+        traces = cls([], horizon, downtime)
+        traces.times, traces.counts = times, counts
+        return traces
+
     @property
     def n_units(self) -> int:
-        return len(self.per_unit)
+        return self.counts.size
+
+    @property
+    def per_unit(self) -> list[np.ndarray]:
+        """Each unit's failure dates, as views into :attr:`times`."""
+        ends = np.cumsum(self.counts).tolist()
+        return [self.times[lo:hi] for lo, hi in zip([0] + ends, ends)]
 
     def for_job(self, n_units: int) -> JobTraces:
         """Merged, sorted event stream of the first ``n_units`` units."""
@@ -212,11 +253,9 @@ class PlatformTraces:
             raise ValueError(
                 f"job needs {n_units} units but platform has {self.n_units}"
             )
-        chunks = self.per_unit[:n_units]
-        times = np.concatenate(chunks) if chunks else np.empty(0)
-        units = np.concatenate(
-            [np.full(c.size, i, dtype=np.int64) for i, c in enumerate(chunks)]
-        ) if chunks else np.empty(0, dtype=np.int64)
+        counts = self.counts[:n_units]
+        times = self.times[: int(counts.sum())]
+        units = np.repeat(np.arange(n_units, dtype=np.int64), counts)
         order = np.argsort(times, kind="stable")
         return JobTraces(
             times=times[order],

@@ -35,7 +35,8 @@ def survival_lattice(
     state: PlatformState, u: float, c: float, na: int, nb: int
 ) -> np.ndarray:
     """``m2[a, b] = sum_i w_i logsf(tau_i + a*u + b*c)`` over the whole
-    lattice, floored at -700 like the production table."""
+    lattice, floored 700 below its start cell like the production table
+    (at -700 when the start is not finite)."""
     grid = (
         np.arange(na + 1, dtype=float)[:, None] * u
         + np.arange(nb + 1, dtype=float)[None, :] * c
@@ -48,7 +49,8 @@ def survival_lattice(
             for i in range(taus.size):
                 acc += weights[i] * float(dist.logsf(taus[i] + grid[a, b]))
             m2[a, b] = acc
-    return np.maximum(m2, -700.0)
+    start = m2[0, 0]
+    return np.maximum(m2, start - 700.0 if np.isfinite(start) else -700.0)
 
 
 def chunk_cap(

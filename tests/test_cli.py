@@ -68,6 +68,32 @@ class TestParser:
             build_parser().parse_args(["experiment", "fig99"])
 
 
+def test_cli_import_loads_only_the_envelope():
+    """``import repro.cli`` loads the service package's envelope and not
+    the rest of its re-exports (queue, runner, NumPy, ``http.client``),
+    which load when a name is first read."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    heavy = ["numpy", "repro.simulation", "http.client", "repro.service.queue"]
+    code = (
+        "import json, sys, repro.cli; "
+        f"loaded = [m for m in {heavy!r} if m in sys.modules]; "
+        "from repro.service import ScenarioSpec, ServiceClient, envelope; "
+        "print(json.dumps([loaded, ScenarioSpec.__name__, "
+        "ServiceClient.__name__, callable(envelope)]))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert json.loads(out.stdout) == [[], "ScenarioSpec", "ServiceClient", True]
+
+
 class TestEndToEnd:
     def test_plan(self, capsys):
         assert main(["plan", "--mtbf", "1d", "--work", "20d"]) == 0

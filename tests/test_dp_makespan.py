@@ -78,6 +78,20 @@ class TestInvariants:
         aged = dp_makespan(work, c, d, r, dist, u=600.0, tau0=2 * DAY)
         assert aged.expected_makespan <= fresh.expected_makespan * (1 + 1e-9)
 
+    def test_start_age_past_the_log_floor(self):
+        """Exponential lifetimes are memoryless, so ``tau0`` cannot matter,
+        even where ``log S(tau0) = -800`` lies below the -700 floor.  An
+        absolute floor read every attempt there as certain success."""
+        rate = 1 / (2 * HOUR)
+        dist = Exponential(rate)
+        args = (6 * HOUR, 600.0, 60.0, 600.0, dist)
+        fresh = dp_makespan(*args, u=600.0, tau0=0.0)
+        aged = dp_makespan(*args, u=600.0, tau0=800 / rate)
+        assert aged.first_chunk == fresh.first_chunk
+        assert aged.expected_makespan == pytest.approx(
+            fresh.expected_makespan, rel=1e-9
+        )
+
     def test_rejects_bad_quantum(self):
         with pytest.raises(ValueError):
             dp_makespan(HOUR, 600.0, 60.0, 600.0, Exponential(1.0), u=-1.0)

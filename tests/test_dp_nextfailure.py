@@ -130,6 +130,24 @@ class TestAdaptivity:
         slow = dp_next_failure(work, c, Exponential(1 / (2 * DAY)), u=u)
         assert max(fast.chunks) < max(slow.chunks)
 
+    def test_plan_survives_a_start_state_below_the_floor(self):
+        """One very old processor (Weibull k < 1: negligible hazard, but
+        log-survival -800 at its age) must not change the plan.  With a
+        floor at an absolute -700 the whole survival table flattened to
+        ties and the plan degraded to 77 one-quantum chunks."""
+        dist = Weibull(1e6, 0.7)
+        ages = np.linspace(1e4, 5e4, 20)
+        work, c, u = 2e5, 600.0, 2e5 / 96
+        base = dp_next_failure_parallel(work, c, PlatformState(ages, dist), u=u)
+        assert np.array_equal(base.chunks[:3] / u, [2.0, 3.0, 3.0])
+        assert base.chunks.size == 37
+        old = 1e6 * 800 ** (1 / 0.7)
+        assert float(dist.logsf(old)) == pytest.approx(-800.0)
+        aged = dp_next_failure_parallel(
+            work, c, PlatformState(np.append(ages, old), dist), u=u
+        )
+        assert np.array_equal(aged.chunks, base.chunks)
+
 
 class TestEmpiricalDistribution:
     def test_runs_on_empirical(self):

@@ -37,3 +37,34 @@ def test_target_resolves_as_install_does(module_name, attr):
     raw = owner.__dict__[leaf]
     fn = raw.__func__ if isinstance(raw, classmethod) else raw
     assert callable(fn)
+
+
+def test_trace_set_generation_goes_through_the_traced_name(monkeypatch):
+    """``traces.gen`` times ``generate_platform_traces`` as the
+    trace-set builder calls it.  A builder that made its traces some
+    other way would read ``traces.gen_s = 0`` in every traced run while
+    its results stayed correct; this pins one call per trace."""
+    from repro.cluster.models import ConstantOverhead, Platform
+    from repro.distributions import Weibull
+    from repro.simulation import parallel
+
+    calls = []
+    real = parallel.generate_platform_traces
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(parallel, "generate_platform_traces", counting)
+    platform = Platform(
+        p=4,
+        dist=Weibull.from_mtbf(86400.0, 0.7),
+        downtime=60.0,
+        overhead=ConstantOverhead(600.0),
+    )
+    shared, publication = parallel._build_trace_set(
+        platform, 1e6, seed=7, n_traces=3, t0=0.0, publish=False
+    )
+    assert publication is None
+    assert len(calls) == 3
+    assert len(shared.traces) == 3

@@ -15,6 +15,7 @@ from repro.traces import (
     generate_rejuvenated_platform_traces,
 )
 from repro.units import DAY, HOUR
+from tests import traces_oracle
 
 
 class TestSingleTrace:
@@ -148,3 +149,94 @@ class TestJobTraces:
         pt = PlatformTraces([np.array([29.0])], horizon=100.0, downtime=5.0)
         starts = pt.for_job(1).lifetime_starts_at(t0=30.0)
         assert starts[0] == pytest.approx(34.0)
+
+
+def _assert_same(actual: np.ndarray, expected: np.ndarray) -> None:
+    assert actual.dtype == expected.dtype
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual, expected)
+
+
+def _assert_matches_oracle(pt: PlatformTraces, per_unit: list[np.ndarray]) -> None:
+    """The flat platform equals the per-unit oracle: every unit's dates,
+    and every prefix job's merged stream."""
+    assert pt.n_units == len(per_unit)
+    for got, want in zip(pt.per_unit, per_unit):
+        _assert_same(got, want)
+    for n in sorted({1, max(1, len(per_unit) // 2), len(per_unit)}):
+        job = pt.for_job(n)
+        times, units = traces_oracle.reference_merge(per_unit, n)
+        _assert_same(job.times, times)
+        _assert_same(job.units, units)
+
+
+class TestFlatMatchesOracle:
+    """The flat unit-major path against the per-unit oracle
+    (``tests/traces_oracle.py``), bit for bit and dtype for dtype."""
+
+    @pytest.mark.parametrize("downtime", [0.0, 60.0])
+    @pytest.mark.parametrize(
+        "dist",
+        [Exponential(1 / HOUR), Weibull.from_mtbf(HOUR, 0.7)],
+        ids=["exp", "weibull0.7"],
+    )
+    def test_generation_and_merge(self, dist, downtime):
+        for seed in (0, [11, 3], np.random.SeedSequence(5)):
+            per_unit = traces_oracle.reference_per_unit(dist, 9, DAY, downtime, seed)
+            pt = generate_platform_traces(dist, 9, DAY, downtime=downtime, seed=seed)
+            _assert_matches_oracle(pt, per_unit)
+
+    @pytest.mark.parametrize("batch", [1, 4])
+    def test_tail_continuation(self, monkeypatch, batch):
+        """A batch far too small sends most units (all of them at size 1)
+        through their child-stream tails, several batches deep."""
+        from repro.traces import generation
+
+        monkeypatch.setattr(generation, "_trace_batch_size", lambda *args: batch)
+        dist = Weibull.from_mtbf(HOUR, 0.7)
+        per_unit = traces_oracle.reference_per_unit(dist, 7, DAY, 30.0, 4)
+        assert max(t.size for t in per_unit) > 2 * batch
+        pt = generate_platform_traces(dist, 7, DAY, downtime=30.0, seed=4)
+        _assert_matches_oracle(pt, per_unit)
+        # tails come from per-unit child streams: still prefix-coherent
+        small = generate_platform_traces(dist, 3, DAY, downtime=30.0, seed=4)
+        for got, want in zip(small.per_unit, per_unit):
+            _assert_same(got, want)
+
+    def test_for_job_prefix_coherent(self):
+        dist = Exponential(1 / HOUR)
+        full = generate_platform_traces(dist, 12, DAY, downtime=10.0, seed=8)
+        for n in (1, 5, 11):
+            small = generate_platform_traces(dist, n, DAY, downtime=10.0, seed=8)
+            a, b = full.for_job(n), small.for_job(n)
+            _assert_same(a.times, b.times)
+            _assert_same(a.units, b.units)
+
+    def test_built_from_a_list(self):
+        per_unit = [
+            np.array([5.0, 40.0]),
+            np.array([], dtype=float),
+            np.array([7.0, 40.0, 90.0]),
+            np.array([1.0]),
+        ]
+        pt = PlatformTraces(per_unit, horizon=100.0, downtime=2.0)
+        _assert_matches_oracle(pt, per_unit)
+        # the second half of a replicated platform, as split_traces builds it
+        from repro.simulation.replication import split_traces
+
+        first, second = split_traces(pt, 2)
+        for job, units in ((first, per_unit[:2]), (second, per_unit[2:])):
+            times, labels = traces_oracle.reference_merge(units, 2)
+            _assert_same(job.times, times)
+            _assert_same(job.units, labels)
+
+    def test_lifetime_starts_with_repeated_units(self):
+        dist = Exponential(1 / HOUR)
+        job = generate_platform_traces(dist, 6, DAY, downtime=45.0, seed=2).for_job(6)
+        before = job.units[job.times < DAY / 2]
+        assert np.bincount(before).max() > 1
+        for t0 in (0.0, 1.0, DAY / 4, DAY / 2, DAY):
+            want = traces_oracle.reference_lifetime_starts(
+                job.times, job.units, job.n_units, job.downtime, t0
+            )
+            _assert_same(job.lifetime_starts_at(t0), want)
