@@ -11,7 +11,6 @@ Subcommands:
 - ``repro sweep``       — a parameter grid of scenarios, shared-trace
   planned (``--grid key=a,b,c``; ``--submit`` sends it to the daemon).
 - ``repro compare``     — several policies on one scenario, ranked.
-- ``repro benchmark``   — cold/warm timing of the execution tier.
 - ``repro plan``        — Theorem 1's optimal plan for a sequential job.
 - ``repro simulate``    — per-trace view of a single policy.
 - ``repro experiment``  — a paper table/figure driver.
@@ -43,7 +42,6 @@ import argparse
 import json
 import os
 import sys
-import time
 from pathlib import Path
 from typing import Any
 
@@ -295,43 +293,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
         "best_period": result.best_period,
     }
     return emit(envelope("compare", data))
-
-
-def cmd_benchmark(args: argparse.Namespace) -> int:
-    from repro.core.cache import clear_cache, clear_replan_memo
-    from repro.simulation.runner import aggregate_counters
-
-    spec = _spec_from_args(args)
-    clear_cache()
-    clear_replan_memo()
-    hlog(f"benchmark: cold run of {spec.signature()[:12]} ...")
-    t0 = time.perf_counter()  # reprolint: clock-ok=benchmark timing
-    cold = spec.run(jobs=args.jobs)
-    cold_s = time.perf_counter() - t0  # reprolint: clock-ok=benchmark timing
-    hlog(f"benchmark: warm run ({cold_s:.2f}s cold) ...")
-    t0 = time.perf_counter()  # reprolint: clock-ok=benchmark timing
-    warm = spec.run(jobs=args.jobs)
-    warm_s = time.perf_counter() - t0  # reprolint: clock-ok=benchmark timing
-    data = {
-        "spec": spec.to_dict(),
-        "signature": spec.signature(),
-        "cold_seconds": cold_s,
-        "warm_seconds": warm_s,
-        "warm_speedup": (cold_s / warm_s) if warm_s > 0 else None,
-        "cold": {"cache_hits": cold.cache_hits, "cache_misses": cold.cache_misses,
-                 "memo_hits": cold.memo_hits, "memo_misses": cold.memo_misses,
-                 "disk_hits": cold.disk_hits, "disk_misses": cold.disk_misses,
-                 "disk_evictions": cold.disk_evictions},
-        "warm": {"cache_hits": warm.cache_hits, "cache_misses": warm.cache_misses,
-                 "memo_hits": warm.memo_hits, "memo_misses": warm.memo_misses,
-                 "disk_hits": warm.disk_hits, "disk_misses": warm.disk_misses,
-                 "disk_evictions": warm.disk_evictions},
-        "counters": aggregate_counters([cold, warm]),
-        "n_jobs": cold.n_jobs,
-    }
-    hlog(f"benchmark: warm {warm_s:.2f}s "
-         f"({data['warm_speedup']:.1f}x vs cold)" if warm_s > 0 else "done")
-    return emit(envelope("benchmark", data))
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -936,12 +897,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_args(p_cmp)
     _add_execution_args(p_cmp)
     p_cmp.set_defaults(func=cmd_compare, policies_default="young,dalylow,optexp")
-
-    p_bench = sub.add_parser("benchmark",
-                             help="cold/warm timing of the execution tier")
-    _add_spec_args(p_bench)
-    _add_execution_args(p_bench)
-    p_bench.set_defaults(func=cmd_benchmark)
 
     p_plan = sub.add_parser("plan", help="Theorem 1's optimal periodic plan")
     _add_common_scenario_args(p_plan)

@@ -15,8 +15,9 @@ member job with the usual store-hit / live-coalesce semantics, and the
 points that actually need solving are grouped by trace signature
 (:func:`repro.simulation.sweep.trace_signature`) into *group tasks* —
 one queue entry per group, executed by :func:`repro.simulation.sweep.
-run_sweep` over one shared trace set.  Member jobs stay individually
-addressable (status/result/stream by job id); the
+run_sweep` over one shared trace set.  A single submission is a group
+of one, so every queue entry runs through ``run_sweep``.  Member jobs
+stay individually addressable (status/result/stream by job id); the
 :class:`BatchRecord` aggregates them into one batch-status envelope.
 
 Thread-safety: one lock guards the job table; records hand out
@@ -111,8 +112,9 @@ class JobRecord:
 
 @dataclass
 class _GroupTask:
-    """One sweep group's worth of member jobs, executed together over a
-    shared trace set (a queue entry alongside plain job ids)."""
+    """One queue entry: the member jobs of a sweep group, executed
+    together over a shared trace set (a single submission is a group of
+    one)."""
 
     job_ids: list[str]
     execution: ExecutionOptions
@@ -151,7 +153,7 @@ class JobQueue:
         self._ids = itertools.count(1)
         self._batch_ids = itertools.count(1)
         self._lock = threading.Lock()
-        self._tasks: _queue.Queue[str | _GroupTask | None] = _queue.Queue()
+        self._tasks: _queue.Queue[_GroupTask | None] = _queue.Queue()
         self._workers = [
             threading.Thread(target=self._worker, daemon=True,
                              name=f"repro-job-worker-{i}")
@@ -208,7 +210,7 @@ class JobQueue:
         with self._lock:
             job, newly_queued = self._register_locked(spec, execution)
             if newly_queued:
-                self._tasks.put(job.job_id)
+                self._tasks.put(_GroupTask([job.job_id], execution))
             return job
 
     def submit_batch(
@@ -279,52 +281,17 @@ class JobQueue:
             item = self._tasks.get()
             if item is None:
                 return
-            if isinstance(item, _GroupTask):
-                self._execute_group(item)
-                continue
-            with self._lock:
-                job = self._jobs.get(item)
-                if job is None or job.state != "queued":
-                    continue
-                job.state = "running"
-                job.started_at = time.time()  # reprolint: clock-ok=job bookkeeping timestamp
-            self._execute(job)
-
-    def _execute(self, job: JobRecord) -> None:
-        def on_progress(done: int, total: int) -> None:
-            job.progress_done = done
-            job.progress_total = total
-
-        try:
-            result = job.spec.run(jobs=job.execution.jobs, progress=on_progress)
-            result_doc = scenario_result_to_dict(result)
-            self.store.put(job.signature, job.spec.to_dict(), result_doc)
-            with self._lock:
-                job.result_doc = result_doc
-                job.state = "done"
-                job.finished_at = time.time()
-                self._by_signature.pop(job.signature, None)
-        except Exception as exc:
-            with self._lock:
-                job.error = f"{type(exc).__name__}: {exc}"
-                job.state = "failed"
-                job.finished_at = time.time()
-                self._by_signature.pop(job.signature, None)
-            # full trace belongs in the daemon's stderr log, not the API
-            traceback.print_exc()
-        finally:
-            job._event.set()
+            self._execute_group(item)
 
     def _execute_group(self, task: _GroupTask) -> None:
-        """Run one sweep group's member jobs over a shared trace set.
+        """Run one queue entry's member jobs over a shared trace set.
 
         ``run_sweep`` drives the per-point lifecycle through callbacks:
         a member flips to ``running`` when its point starts, gets
         per-work-unit progress ticks while it replays, and is archived +
         marked ``done`` the moment its point finishes — so pollers see
-        members complete one by one, exactly like individually submitted
-        jobs.  A group-level failure fails every not-yet-done member
-        with the same error."""
+        members complete one by one.  A group-level failure fails every
+        not-yet-done member with the same error."""
         with self._lock:
             jobs: list[JobRecord] = []
             for job_id in task.job_ids:

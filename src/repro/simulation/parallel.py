@@ -86,19 +86,15 @@ serial runs read the in-process trace list (ensemble row subsets via
 publication.  Both channels carry the exact arrays the scenario would
 have generated itself, so sharing never changes results.
 
-Cost-model scheduling: work units are not all equal — a trace batch
-replaying a DP policy costs orders of magnitude more than a lockstep
-replay of every static schedule.  Trace units are one per worker (a
-serial run has one of each kind): a lockstep pass pays its per-step
-Python overhead once per unit, and the wider a DPNextFailure step, the
-more replans share its lookups and stacked solves.  The runner
-estimates each unit's cost in lane-attempts (one attempt of one
-(schedule, trace) lane; a static schedule's attempts are ``work /
-min(period, work)``, Liu's its chunk count, a DP trace a calibrated
-constant) and dispatches units longest-first (LPT) so a straggler never
-lands last on an otherwise idle pool.  Results are stitched by trace index, so dispatch
-order is invisible to results; the estimates and per-unit wall-clock
-land in ``ScenarioResult.scheduler``.
+Dispatch: trace units are one per worker of each kind (a serial run
+has one of each): a lockstep pass pays its per-step Python overhead
+once per unit, and the wider a DPNextFailure step, the more replans
+share its lookups and stacked solves.  PeriodLB candidates are dealt
+round-robin over ``jobs`` period units, so every unit gets short and
+long periods alike.  Units are submitted in the order they are built
+(adaptive, lockstep, period) and stitched back by trace index and
+candidate position, so dispatch is invisible to results; the measured
+per-unit wall-clock lands in ``ScenarioResult.scheduler``.
 """
 
 from __future__ import annotations
@@ -116,10 +112,9 @@ from repro.cluster.models import Platform
 from repro.core.cache import cache_stats, replan_memo_stats
 from repro.core.diskcache import disk_cache_stats, get_disk_cache
 from repro.simulation import shm as _shm
-from repro.policies.base import PeriodicPolicy, Policy, PolicyInfeasibleError
+from repro.policies.base import PeriodicPolicy, Policy
 from repro.simulation.batch import (
     TraceEnsemble,
-    _probe_context,
     simulate_lower_bound_batch,
     simulate_period_makespans,
     simulate_policy_ensemble,
@@ -177,33 +172,8 @@ class SharedTraces:
 
 
 # ----------------------------------------------------------------------
-# per-unit cost model (estimates only: scheduling, never results)
+# work units (module level: picklable by ProcessPoolExecutor)
 # ----------------------------------------------------------------------
-
-#: Estimated cost of one trace replayed under a DP policy with the
-#: reference grid (n_grid=96), in lane-attempts (one attempt of one
-#: lockstep lane).  Order-of-magnitude calibration on Table 4: a
-#: DPNextFailure trace takes ~0.005 s (warm solve tier) to ~0.1 s
-#: (cold), a lane-attempt ~0.2 us.
-_DP_TRACE_WEIGHT = 1e6
-
-#: Estimated cost of one trace replayed through the scalar engine under
-#: a non-DP adaptive policy, in lane-attempts.
-_SCALAR_TRACE_WEIGHT = 2e4
-
-
-#: Estimated cost of one lockstep step (the Python-level array calls
-#: every step makes, whatever its lane count), in lane-attempts.  On the
-#: perfbench static sweep (2 workers) a step costs ~80 us against
-#: ~0.2 us a lane-attempt.
-_STEP_WEIGHT = 400.0
-
-
-def _lockstep_cost(n_traces: int, attempts: list[float]) -> float:
-    """Estimated cost of one lockstep pass over ``n_traces`` traces of
-    lanes with these per-trace attempt counts: every lane-attempt, plus
-    the per-step overhead of the longest lane."""
-    return float(n_traces * sum(attempts) + _STEP_WEIGHT * max(attempts, default=0.0))
 
 
 def _declares_schedule(policy) -> bool:
@@ -211,48 +181,6 @@ def _declares_schedule(policy) -> bool:
     :meth:`Policy.static_schedule`): such policies replay in lockstep
     units, every other one per trace in adaptive units."""
     return type(policy).static_schedule is not Policy.static_schedule
-
-
-def _policy_weight(policy) -> float:
-    """Estimated per-trace cost of an adaptive ``policy`` in
-    lane-attempts.  DP policies scale with their grid resolution."""
-    n_grid = getattr(policy, "n_grid", None)
-    if n_grid is None:
-        return _SCALAR_TRACE_WEIGHT
-    return max(_SCALAR_TRACE_WEIGHT, _DP_TRACE_WEIGHT * (float(n_grid) / 96.0))
-
-
-def _schedule_attempts(policy, scenario: _Scenario) -> float:
-    """Estimated attempts of one lane of ``policy``: ``work / min(period,
-    work)`` for a periodic schedule, the chunk count for a restarting
-    one, none when the policy is infeasible at setup."""
-    platform = scenario.platform
-    work_time = scenario.work_time
-    ctx = _probe_context(
-        work_time,
-        platform.checkpoint,
-        platform.recovery,
-        platform.downtime,
-        platform.num_nodes,
-        platform.dist,
-        scenario.t0,
-        platform.platform_mtbf,
-    )
-    try:
-        policy.setup(ctx)
-        schedule = policy.static_schedule(ctx)
-    except PolicyInfeasibleError:
-        return 0.0
-    if schedule is None:
-        return _SCALAR_TRACE_WEIGHT
-    if schedule.period is not None:
-        return work_time / min(schedule.period, work_time)
-    return float(len(schedule.chunks))
-
-
-# ----------------------------------------------------------------------
-# work units (module level: picklable by ProcessPoolExecutor)
-# ----------------------------------------------------------------------
 
 
 def _job_trace(platform: Platform, horizon: float, seed: int, index: int):
@@ -577,24 +505,6 @@ def _chunk(items: list, size: int) -> list[list]:
     return [items[i : i + size] for i in range(0, len(items), size)]
 
 
-def _split_by_cost(items: list, costs: list[float], parts: int) -> list[list]:
-    """At most ``parts`` contiguous, non-empty groups of ``items`` with
-    roughly equal summed ``costs``."""
-    total = float(sum(costs))
-    groups: list[list] = []
-    current: list = []
-    acc = 0.0
-    for item, cost in zip(items, costs):
-        current.append(item)
-        acc += cost
-        if len(groups) < parts - 1 and acc >= total * (len(groups) + 1) / parts:
-            groups.append(current)
-            current = []
-    if current:
-        groups.append(current)
-    return groups
-
-
 # ----------------------------------------------------------------------
 # the runner
 # ----------------------------------------------------------------------
@@ -635,9 +545,8 @@ class ParallelRunner:
         self._executor = executor
         self._units_done = 0
         self._units_total = 0
-        # per-unit cost estimates and measured seconds, accumulated
-        # across dispatches for ScenarioResult.scheduler
-        self._sched_costs: list[float] = []
+        # measured per-unit seconds, accumulated across dispatches for
+        # ScenarioResult.scheduler
         self._sched_seconds: list[float] = []
 
     # -- internal dispatch ---------------------------------------------
@@ -647,36 +556,27 @@ class ParallelRunner:
         if self.progress is not None:
             self.progress(self._units_done, self._units_total)
 
-    def _map(self, calls: list[tuple[Callable, object]], costs: list[float]):
-        """Run every ``(fn, task)`` call, in process or on the pool;
-        results come back in call order either way.  Each completed
-        call ticks the progress callback.
-
-        ``costs`` (estimated per-unit cost, one per call) sets the
-        dispatch order: units are *submitted* in descending cost order
-        (LPT — workers pick up the expensive stragglers first), while
-        collection stays in call order, so callers that rely on order
-        (period makespans) see no difference.
-        """
+    def _map(self, calls: list[tuple[Callable, object]]):
+        """Run every ``(fn, task)`` call, in process or on the pool,
+        submitted in call order; results come back in call order either
+        way.  Each completed call ticks the progress callback."""
         self._units_total += len(calls)
-        self._sched_costs.extend(costs)
         if self.jobs <= 1 or len(calls) <= 1:
             out = []
             for fn, task in calls:
                 out.append(fn(task))
                 self._unit_done()
             return out
-        order = sorted(range(len(calls)), key=lambda i: (-costs[i], i))
         if self._executor is not None:
             pool, owns = self._executor, False
         else:
             workers = min(self.jobs, len(calls))
             pool, owns = ProcessPoolExecutor(max_workers=workers), True
         try:
-            futures = {i: pool.submit(*calls[i]) for i in order}
+            futures = [pool.submit(fn, task) for fn, task in calls]
             out = []
-            for i in range(len(calls)):
-                out.append(futures[i].result())
+            for future in futures:
+                out.append(future.result())
                 self._unit_done()
             return out
         finally:
@@ -697,19 +597,10 @@ class ParallelRunner:
         return _chunk(indices, size)
 
     def _scheduler_stats(self) -> dict:
-        """JSON-ready summary of the run's unit cost estimates and
-        measured unit wall-clock (max/mean imbalance)."""
-        costs = self._sched_costs
+        """JSON-ready summary of the run's units and their measured
+        wall-clock (max/mean imbalance)."""
         seconds = [s for s in self._sched_seconds if s > 0.0]
-        stats: dict = {
-            "units": len(costs),
-            "longest_first": self.jobs > 1,
-        }
-        if costs:
-            mean = sum(costs) / len(costs)
-            stats["est_cost_max"] = max(costs)
-            stats["est_cost_mean"] = mean
-            stats["est_imbalance"] = max(costs) / mean if mean > 0 else 1.0
+        stats: dict = {"units": self._units_total}
         if seconds:
             mean_s = sum(seconds) / len(seconds)
             stats["unit_seconds_max"] = max(seconds)
@@ -749,7 +640,6 @@ class ParallelRunner:
         start = time.perf_counter()  # reprolint: clock-ok=diagnostic elapsed time
         self._units_done = 0
         self._units_total = 0
-        self._sched_costs = []
         self._sched_seconds = []
         scenario = _Scenario(
             platform=platform,
@@ -821,24 +711,17 @@ class ParallelRunner:
             self._sched_seconds.append(stats.unit_seconds)
 
         # Every unit of the scenario is built up front and dispatched
-        # together; costs are estimated lane-attempts.
+        # together, in the order built.
         indices = list(range(n_traces))
         calls: list[tuple[Callable, object]] = []
-        costs: list[float] = []
         static = [p for p in policies if _declares_schedule(p)]
         adaptive = [p for p in policies if not _declares_schedule(p)]
         if adaptive:
-            per_trace = sum(_policy_weight(p) for p in adaptive)
             for batch in self._trace_batches(indices):
                 calls.append(
                     (_run_trace_task, _TraceTask(scenario, batch, adaptive, False))
                 )
-                costs.append(float(len(batch) * per_trace))
         if static or include_lower_bound:
-            attempts = [_schedule_attempts(policy, scenario) for policy in static]
-            if include_lower_bound:
-                # one lockstep step per failure window
-                attempts.append(1.0 + work_time / platform.platform_mtbf)
             for batch in self._trace_batches(indices):
                 calls.append(
                     (
@@ -846,7 +729,6 @@ class ParallelRunner:
                         _TraceTask(scenario, batch, static, include_lower_bound),
                     )
                 )
-                costs.append(_lockstep_cost(len(batch), attempts))
 
         if include_period_lb:
             from repro.policies.periodlb import candidate_factors
@@ -859,10 +741,12 @@ class ParallelRunner:
             )
             base = _optexp_period(platform, work_time)
             periods = np.asarray(sorted(base * np.asarray(factors, dtype=float)))
-            period_attempts = [work_time / min(p, work_time) for p in periods]
-            for group in _split_by_cost(
-                list(range(periods.size)), period_attempts, self.jobs
-            ):
+            # Candidates are dealt round-robin, so every unit gets short
+            # and long periods alike; the rows go back in sorted-period
+            # order before the argmin.
+            n = periods.size
+            groups = [list(range(w, n, self.jobs)) for w in range(min(self.jobs, n))]
+            for group in groups:
                 calls.append(
                     (
                         _run_period_task,
@@ -873,9 +757,6 @@ class ParallelRunner:
                         ),
                     )
                 )
-                costs.append(
-                    _lockstep_cost(len(subset), [period_attempts[i] for i in group])
-                )
 
         makespans: dict[str, np.ndarray] = {
             p.name: np.full(n_traces, np.nan) for p in policies
@@ -884,7 +765,7 @@ class ParallelRunner:
         infeasible: dict[str, list[int]] = {}
         lb_spans = np.full(n_traces, np.nan)
         candidate_spans: list[np.ndarray] = []
-        for res in self._map(calls, costs):
+        for res in self._map(calls):
             _absorb(res.stats)
             if isinstance(res, _PeriodTaskResult):
                 candidate_spans.append(res.makespans)
@@ -905,7 +786,9 @@ class ParallelRunner:
 
         best_period = math.nan
         if include_period_lb:
-            spans = np.concatenate(candidate_spans)
+            dealt = np.concatenate(candidate_spans)
+            spans = np.empty_like(dealt)
+            spans[[i for group in groups for i in group]] = dealt
             means = [float(np.mean(row)) for row in spans]
             best = int(np.argmin(means))
             best_period = float(periods[best])
@@ -920,13 +803,7 @@ class ParallelRunner:
                     (_run_trace_task, _TraceTask(scenario, batch, winner, False))
                     for batch in self._trace_batches(rest)
                 ]
-                for res in self._map(
-                    winner_calls,
-                    [
-                        _lockstep_cost(len(task.indices), [period_attempts[best]])
-                        for _fn, task in winner_calls
-                    ],
-                ):
+                for res in self._map(winner_calls):
                     _absorb(res.stats)
                     for index, (span, _det) in zip(
                         res.indices, res.per_policy[PERIOD_LB]

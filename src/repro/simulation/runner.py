@@ -87,8 +87,8 @@ class ScenarioResult:
         generating and compiling its own.  Execution metadata only —
         never part of the comparable result payload.
     scheduler:
-        Cost-model dispatch diagnostics: unit count, estimated-cost
-        max/mean/imbalance and measured per-unit seconds (see
+        Dispatch diagnostics: unit count and measured per-unit
+        seconds, max/mean/imbalance (see
         :class:`~repro.simulation.parallel.ParallelRunner`).  Execution
         metadata only.
     """
@@ -130,9 +130,8 @@ COUNTER_FIELDS = (
 def aggregate_counters(results) -> dict:
     """Run-level counter roll-up over several :class:`ScenarioResult`.
 
-    Multi-scenario commands (``repro sweep``, ``repro benchmark``)
-    previously reported cache/memo/disk counters only per scenario;
-    this sums them into one summary block for the CLI envelope.
+    Sums the cache/memo/disk counters of a multi-scenario run
+    (``repro sweep``) into one summary block for the CLI envelope.
     """
     results = list(results)
     totals: dict = {

@@ -150,31 +150,21 @@ class SweepResult:
     n_jobs: int = 1
 
     def scheduler_summary(self) -> dict[str, Any]:
-        """Aggregate scheduler imbalance over every point that
-        recorded stats (max of maxes, weighted means)."""
+        """Aggregate unit counts and measured unit seconds over every
+        point (max of maxes, unit-weighted means)."""
         units = 0
-        cost_max = 0.0
-        cost_sum = 0.0
         sec_max = 0.0
         sec_sum = 0.0
         sec_units = 0
         for res in self.results:
             sched = getattr(res, "scheduler", None) or {}
             n = int(sched.get("units", 0))
-            if n and "est_cost_mean" in sched:
-                units += n
-                cost_max = max(cost_max, float(sched["est_cost_max"]))
-                cost_sum += float(sched["est_cost_mean"]) * n
+            units += n
             if n and "unit_seconds_mean" in sched:
                 sec_units += n
                 sec_max = max(sec_max, float(sched["unit_seconds_max"]))
                 sec_sum += float(sched["unit_seconds_mean"]) * n
         out: dict[str, Any] = {"units": units}
-        if units:
-            mean = cost_sum / units
-            out["est_cost_max"] = cost_max
-            out["est_cost_mean"] = mean
-            out["est_imbalance"] = cost_max / mean if mean > 0 else 1.0
         if sec_units:
             mean_s = sec_sum / sec_units
             out["unit_seconds_max"] = sec_max

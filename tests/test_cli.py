@@ -211,9 +211,3 @@ class TestScenarioSubcommands:
             assert "mean_makespan" in entry
             assert "degradation" in entry
         assert "degradation from best" in err
-
-    def test_benchmark(self, capsys):
-        assert main(["benchmark", *self._ARGS]) == 0
-        env, _ = _envelope(capsys)
-        assert env["data"]["cold_seconds"] >= 0
-        assert env["data"]["warm_seconds"] >= 0

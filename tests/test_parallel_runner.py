@@ -99,13 +99,37 @@ class TestDeterminism:
         )
 
     def test_period_lb_winner_matches_serial(self):
+        """Period units are dealt round-robin and stitched back into
+        sorted-period order: on the default 35-candidate grid the winner
+        and its makespans must match the serial run and the reference
+        search over the same traces, whatever the worker count."""
+        from repro.policies.periodlb import best_period_search, candidate_factors
+        from repro.simulation.parallel import _job_trace
+        from repro.simulation.runner import _optexp_period
+
         platform = _platform(Exponential.from_mtbf(12 * HOUR))
-        serial = _run([Young()], platform, jobs=1)
-        parallel = _run([Young()], platform, jobs=3)
-        assert serial.best_period == parallel.best_period
-        assert np.array_equal(
-            serial.makespans[PERIOD_LB], parallel.makespans[PERIOD_LB]
-        )
+        traces = [_job_trace(platform, 200 * DAY, 7, i) for i in range(6)]
+        for factors in ([0.5, 1.0, 2.0], candidate_factors()):
+            search = best_period_search(
+                _optexp_period(platform, DAY),
+                DAY,
+                traces,
+                platform.checkpoint,
+                platform.recovery,
+                platform.dist,
+                factors=factors,
+            )
+            serial = _run([Young()], platform, jobs=1, period_lb_factors=factors)
+            assert serial.best_period == search.best_period
+            assert np.mean(serial.makespans[PERIOD_LB]) == search.best_mean_makespan
+            for jobs in (2, 3):
+                parallel = _run(
+                    [Young()], platform, jobs=jobs, period_lb_factors=factors
+                )
+                assert parallel.best_period == search.best_period
+                assert np.array_equal(
+                    serial.makespans[PERIOD_LB], parallel.makespans[PERIOD_LB]
+                )
 
 
 class TestPeriodLBFromCandidateLanes:

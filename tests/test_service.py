@@ -215,6 +215,8 @@ class TestJobQueue:
             assert status["progress"]["done"] == status["progress"]["total"] > 0
             doc = q.result(job.job_id)
             assert doc["format"] == "repro.result/1"
+            # a single job runs as a sweep group of one
+            assert doc["trace_gen_reused"] is True
             assert store.peek(spec.signature()) is not None
         finally:
             q.shutdown()

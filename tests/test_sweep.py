@@ -203,10 +203,12 @@ class TestRunSweepReporting:
             assert key in sweep.counters
 
     def test_scheduler_summary_shape(self):
-        summary = run_sweep(_grid_12()[:2], jobs=1).scheduler_summary()
-        assert summary["units"] > 0
-        assert summary["est_cost_max"] >= summary["est_cost_mean"] > 0.0
-        assert summary["est_imbalance"] >= 1.0
+        sweep = run_sweep(_grid_12()[:2], jobs=1)
+        summary = sweep.scheduler_summary()
+        assert summary["units"] == sum(r.scheduler["units"] for r in sweep.results) > 0
+        assert summary["unit_seconds_max"] >= summary["unit_seconds_mean"] > 0.0
+        assert summary["seconds_imbalance"] >= 1.0
+        assert not any(key.startswith("est_") for key in summary)
 
     def test_callbacks_fire_in_plan_order(self):
         specs = expand_grid(
